@@ -27,13 +27,15 @@ as executable circuits with the exact cost/depth accounting of Section II:
   detection (sortedness, ones-count preservation, control
   duplicate-and-compare) attachable to any netlist via
   :func:`~repro.circuits.checkers.with_checkers`, with closed-form
-  overhead bounds in the paper's cost model.
+  overhead bounds in the paper's cost model, and the software
+  acceptance gate :func:`~repro.circuits.checkers.accept_rows`.
 """
 
 from .builder import CircuitBuilder
 from .checkers import (
     CheckedNetlist,
     OutputChecker,
+    accept_rows,
     build_output_checker,
     control_checker_overhead,
     control_cone,
@@ -129,6 +131,7 @@ __all__ = [
     "TimeSegment",
     "Timeline",
     "TransientFlip",
+    "accept_rows",
     "apply_fault",
     "apply_faults",
     "build_output_checker",

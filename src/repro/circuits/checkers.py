@@ -328,6 +328,31 @@ class CheckedNetlist:
         return data if np.asarray(out).ndim > 1 else data[0]
 
 
+def accept_rows(inputs, data, alarm_rows=None) -> np.ndarray:
+    """The acceptance gate: rows whose answer is provably ``np.sort`` of
+    the caller-held input.
+
+    ``inputs`` and ``data`` are ``(lanes, width)`` batches (1-D is one
+    row) and ``inputs`` holds 0/1 values; ``alarm_rows`` is an optional
+    per-row alarm mask.  A row passes when its alarms are quiet and its
+    output is monotone ``0...01...1`` with the input's ones count — the
+    one row ``0**(width-k) 1**k`` for an input with ``k`` ones, which is
+    what the gate compares against.  That check is complete: a monotone
+    0/1 row is fixed by its ones count.  Holding the input closes the
+    checkers' fault-secure boundary — a stuck primary input fools the
+    hardware checker, which sees the faulted bus, but not this gate.
+    """
+    x, y = np.atleast_2d(inputs, data)
+    if y.shape != x.shape:
+        return np.zeros(x.shape[0], dtype=bool)
+    width = x.shape[1]
+    zeros = width - x.sum(axis=1, dtype=np.intp)
+    ok = (y == (np.arange(width) >= zeros[:, None])).all(axis=1)
+    if alarm_rows is not None:
+        ok &= ~np.asarray(alarm_rows, dtype=bool)
+    return ok
+
+
 def with_checkers(
     netlist: Netlist,
     sortedness: bool = True,

@@ -38,7 +38,9 @@ from .engine import NO_PAYLOAD, get_plan
 from .netlist import Netlist
 
 
-def _as_batch(inputs) -> np.ndarray:
+def _as_batch(inputs, netlist: Optional[Netlist] = None) -> np.ndarray:
+    """``inputs`` as a 2-D uint8 batch; with ``netlist``, also checks that
+    each row has one value per primary input."""
     arr = np.asarray(inputs)
     # Contiguous uint8 input is passed through untouched (the hot path:
     # engine outputs, exhaustive_inputs, rng.integers(...).astype(uint8));
@@ -54,6 +56,10 @@ def _as_batch(inputs) -> np.ndarray:
         )
     if converted and arr.size and arr.max() > 1:
         raise SimulationError("inputs must be 0/1 values")
+    if netlist is not None and arr.shape[1] != len(netlist.inputs):
+        raise SimulationError(
+            f"expected {len(netlist.inputs)} inputs, got {arr.shape[1]}"
+        )
     return arr
 
 
@@ -77,11 +83,7 @@ def simulate(netlist: Netlist, inputs) -> np.ndarray:
     numpy.ndarray
         ``uint8`` array of shape ``(batch, n_outputs)``.
     """
-    batch = _as_batch(inputs)
-    if batch.shape[1] != len(netlist.inputs):
-        raise SimulationError(
-            f"expected {len(netlist.inputs)} inputs, got {batch.shape[1]}"
-        )
+    batch = _as_batch(inputs, netlist)
     plan = _jit.maybe_jit(netlist, batch.shape[0])
     if plan is not None:
         return plan.execute(batch)
@@ -91,15 +93,11 @@ def simulate(netlist: Netlist, inputs) -> np.ndarray:
 def simulate_engine(netlist: Netlist, inputs) -> np.ndarray:
     """:func:`simulate`, pinned to the fused-step engine (never JIT).
 
-    The supervisor's ``engine`` tier and the JIT's own differential
+    The checked-run ladder's ``engine`` rung and the JIT's own differential
     tests use this to keep the two compiled backends distinguishable
     regardless of ``REPRO_JIT``.
     """
-    batch = _as_batch(inputs)
-    if batch.shape[1] != len(netlist.inputs):
-        raise SimulationError(
-            f"expected {len(netlist.inputs)} inputs, got {batch.shape[1]}"
-        )
+    batch = _as_batch(inputs, netlist)
     return get_plan(netlist).execute(batch)
 
 
@@ -108,14 +106,11 @@ def simulate_jit(netlist: Netlist, inputs) -> np.ndarray:
 
     Compiles (or loads from cache) unconditionally — no size threshold,
     no warm-up — unless ``REPRO_JIT=0`` explicitly forbids the JIT, in
-    which case a :class:`~repro.errors.SimulationError` is raised so
-    tiered callers (the supervisor ladder) fall through to the engine.
+    which case a :class:`~repro.errors.SimulationError` is raised.  The
+    checked-run ladder (:func:`repro.runtime.run_checked`) skips its
+    ``jit`` rung instead of calling this under ``REPRO_JIT=0``.
     """
-    batch = _as_batch(inputs)
-    if batch.shape[1] != len(netlist.inputs):
-        raise SimulationError(
-            f"expected {len(netlist.inputs)} inputs, got {batch.shape[1]}"
-        )
+    batch = _as_batch(inputs, netlist)
     if _jit.jit_mode() == "off":
         raise SimulationError("JIT disabled by REPRO_JIT=0")
     return _jit.get_jit_plan(netlist).execute(batch)
@@ -130,11 +125,7 @@ def simulate_interpreted(netlist: Netlist, inputs) -> np.ndarray:
     shared machinery is the passive :mod:`repro.obs` span around the
     run, which observes timing without touching wire values.)
     """
-    batch = _as_batch(inputs)
-    if batch.shape[1] != len(netlist.inputs):
-        raise SimulationError(
-            f"expected {len(netlist.inputs)} inputs, got {batch.shape[1]}"
-        )
+    batch = _as_batch(inputs, netlist)
     if not obs.OBS.enabled:
         return _interpret_bits(netlist, batch)
     with obs.OBS.tracer.span(
@@ -200,16 +191,12 @@ def _interpret_bits(netlist: Netlist, batch: np.ndarray) -> np.ndarray:
 
 
 def _as_payload_batch(netlist: Netlist, tags, payloads):
-    tag_batch = _as_batch(tags)
+    tag_batch = _as_batch(tags, netlist)
     pay_batch = np.asarray(payloads, dtype=np.int64)
     if pay_batch.ndim == 1:
         pay_batch = pay_batch[np.newaxis, :]
     if pay_batch.shape != tag_batch.shape:
         raise SimulationError("tags and payloads must have the same shape")
-    if tag_batch.shape[1] != len(netlist.inputs):
-        raise SimulationError(
-            f"expected {len(netlist.inputs)} inputs, got {tag_batch.shape[1]}"
-        )
     return tag_batch, pay_batch
 
 

@@ -1,30 +1,18 @@
 """Supervised sort execution: detect, retry, degrade, recover.
 
-The :class:`Supervisor` is the online counterpart of PR 2's offline
-fault campaigns.  Every sort runs on **self-checking hardware** (the
-network with :func:`repro.circuits.checkers.with_checkers` attached, or
-the fish sorter paired with a boundary
-:class:`~repro.circuits.checkers.OutputChecker`) under a wall-clock
-deadline, and the result must clear two independent gates before being
-returned:
-
-1. the gate-level alarm wires (sortedness / ones-count / control
-   duplicate-and-compare) must all be quiet, and
-2. a behavioral invariant check in software — output monotone and its
-   population count equal to the *caller-held* input's.  This second
-   gate closes the checkers' fault-secure boundary: a stuck primary
-   input fools the hardware checker (which observes the faulted bus) but
-   not the supervisor, which still holds the pre-corruption input.
-
-Any alarm, invariant failure, engine exception, or deadline triggers
-the :class:`RecoveryPolicy`: bounded retry with exponential backoff at
-the current tier, then graceful degradation down the execution ladder —
-code-generated JIT kernel → compiled engine → element-at-a-time
-interpreter oracle → behavioral ``np.sort`` — so a supervised call
-returns the *correct* answer even
-when the circuit itself is faulty (the acceptance criterion of the
-supervised fault campaigns).  Per-call statistics (detections, alarm
-counts, tier usage, retries, latencies) accumulate in
+The :class:`Supervisor` is the online counterpart of the offline fault
+campaigns.  Every sort runs on **self-checking hardware** (the network
+with :func:`repro.circuits.checkers.with_checkers` attached, or the fish
+sorter paired with a boundary
+:class:`~repro.circuits.checkers.OutputChecker`) through
+:func:`repro.runtime.checked.run_checked`: the result must have quiet
+alarm wires and pass the software gate (output monotone, with the
+*caller-held* input's ones count), and any alarm, gate failure,
+exception or deadline walks the :class:`RecoveryPolicy`'s retry and
+degradation ladder — JIT kernel → compiled engine → interpreter oracle
+→ behavioral ``np.sort`` — so a supervised call returns the *correct*
+answer even when the circuit itself is faulty.  Per-call statistics
+(detections, tier usage, retries, latencies) accumulate in
 :class:`SupervisorStats`.
 """
 
@@ -38,10 +26,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..circuits.checkers import CheckedNetlist, OutputChecker, build_output_checker, with_checkers
-from ..circuits.simulate import simulate_engine, simulate_interpreted, simulate_jit
-from ..errors import BuildError, CheckerAlarm, DeadlineExceeded, ReproError, SimulationError
-from .guard import time_limit
+from ..circuits.checkers import build_output_checker, with_checkers
+from ..errors import BuildError, SimulationError
+from .checked import RecoveryPolicy, run_checked
 
 __all__ = [
     "CallReport",
@@ -52,62 +39,6 @@ __all__ = [
     "reset_supervisors",
     "supervisor_stats",
 ]
-
-#: Execution tiers, fastest first.  ``jit`` runs the code-generated
-#: bit-slice kernel (:mod:`repro.circuits.jit`; degraded past when
-#: ``REPRO_JIT=0`` disables it), ``engine`` is pinned to the fused-step
-#: interpreter so the two compiled rungs stay independent.  ``jit`` and
-#: ``interpreter`` are both skipped for the fish network (its phases are
-#: behavioral objects, not netlists, and already run through both
-#: engines).
-TIERS = ("jit", "engine", "interpreter", "behavioral")
-
-#: Alarm pseudo-name for the supervisor's software invariant gate.
-INVARIANT = "invariant"
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """What the supervisor does when a tier fails.
-
-    ``max_retries`` re-runs of a failing tier (exponential backoff from
-    ``backoff_s`` by ``backoff_factor``) before degrading to the next
-    tier; ``deadline_s`` is the per-attempt wall-clock budget (``None``
-    disables it); ``control_checker`` additionally attaches the
-    duplicate-and-compare steering checker to combinational hardware.
-
-    ``max_backoff_s`` caps each backoff sleep.  Unset, it defaults to
-    ``deadline_s`` when a deadline is configured: uncapped,
-    ``backoff_s * backoff_factor**k`` grows without bound and a call
-    under a deadline storm can burn more wall-clock *sleeping between
-    retries* than its entire per-attempt budget — the failure mode the
-    chaos soak's deadline injector surfaces.
-    """
-
-    max_retries: int = 1
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    max_backoff_s: Optional[float] = None
-    deadline_s: Optional[float] = None
-    control_checker: bool = False
-    tiers: Tuple[str, ...] = TIERS
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise BuildError("max_retries must be >= 0")
-        if self.max_backoff_s is not None and self.max_backoff_s < 0:
-            raise BuildError("max_backoff_s must be >= 0")
-        unknown = set(self.tiers) - set(TIERS)
-        if unknown or not self.tiers:
-            raise BuildError(f"tiers must be a non-empty subset of {TIERS}")
-
-    @property
-    def backoff_cap_s(self) -> Optional[float]:
-        """Effective per-sleep cap: ``max_backoff_s``, else the deadline
-        budget, else unlimited."""
-        if self.max_backoff_s is not None:
-            return self.max_backoff_s
-        return self.deadline_s
 
 
 @dataclass
@@ -166,10 +97,6 @@ class SupervisorStats:
             "mean_latency_s": float(np.mean(lat)) if lat else 0.0,
             "max_latency_s": float(np.max(lat)) if lat else 0.0,
         }
-
-
-def _monotone(bits: np.ndarray) -> bool:
-    return bool((np.diff(bits.astype(np.int8)) >= 0).all())
 
 
 class Supervisor:
@@ -235,50 +162,6 @@ class Supervisor:
         with self._lock:
             self._cache.clear()
             self.stats = SupervisorStats()
-
-    # -- invariants -----------------------------------------------------------
-
-    def _accept(self, inputs: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """Software gate: output must be monotone with the same ones
-        count as the caller-held input (closes the checkers'
-        fault-secure boundary at the primary inputs)."""
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != inputs.shape:
-            raise CheckerAlarm((INVARIANT,), message="output shape mismatch")
-        if not _monotone(data) or int(data.sum()) != int(inputs.sum()):
-            raise CheckerAlarm((INVARIANT,))
-        return data
-
-    # -- tiers ----------------------------------------------------------------
-
-    def _run_tier(
-        self, tier: str, padded: np.ndarray, pipelined: bool
-    ) -> np.ndarray:
-        if tier == "behavioral":
-            return self._accept(padded, np.sort(padded))
-        hw = self._get_hardware(padded.size)
-        if self.network == "fish":
-            if tier in ("jit", "interpreter"):
-                # The fish sorter is a behavioral object, not a netlist:
-                # its phases already execute through both engines, and
-                # there is nothing for the JIT to code-generate.
-                raise SimulationError(f"fish has no {tier} tier")
-            sorter, checker = hw
-            out, _report = sorter.sort(padded, pipelined=pipelined)
-            out = np.asarray(out, dtype=np.uint8)
-            fired = checker.fired(padded[None, :], out[None, :])
-            if fired:
-                raise CheckerAlarm(fired)
-            return self._accept(padded, out)
-        checked: CheckedNetlist = hw
-        run = {
-            "jit": simulate_jit,
-            "engine": simulate_engine,
-            "interpreter": simulate_interpreted,
-        }[tier]
-        out = run(checked.netlist, padded[None, :])
-        data = checked.check(out)[0]  # raises CheckerAlarm on any alarm
-        return self._accept(padded, data)
 
     # -- public API -----------------------------------------------------------
 
@@ -363,11 +246,12 @@ class Supervisor:
             return arr.copy(), report
         n = next_power_of_two(max(arr.size, 4 if self.network == "fish" else 2))
         padded = np.concatenate([arr, np.ones(n - arr.size, dtype=np.uint8)])
+        hw = self._get_hardware(n)
         if obs.OBS.enabled:
             with obs.OBS.tracer.span(
                 "supervisor.sort", network=self.network, n=int(arr.size)
             ) as attrs:
-                data, report = self._supervise(padded, pipelined, started)
+                data, report = self._run(hw, padded, pipelined, started)
                 attrs.update(
                     tier=report.tier,
                     attempts=report.attempts,
@@ -378,9 +262,17 @@ class Supervisor:
                 )
             self._record_metrics(report)
         else:
-            data, report = self._supervise(padded, pipelined, started)
+            data, report = self._run(hw, padded, pipelined, started)
         self.stats.record(report)
         return data[: arr.size], report
+
+    def _run(self, hw, padded: np.ndarray, pipelined: bool, started: float
+             ) -> Tuple[np.ndarray, CallReport]:
+        run = run_checked(hw, padded[None], self.policy,
+                          pipelined=pipelined, network=self.network)
+        return run.data[0], CallReport(
+            run.tier, run.attempts, run.retries, run.detections,
+            run.fell_back, run.deadline_hits, time.perf_counter() - started)
 
     def _record_metrics(self, report: CallReport) -> None:
         """Fold one call's report into the global metrics registry
@@ -409,78 +301,6 @@ class Supervisor:
         reg.histogram("repro_supervisor_latency_seconds",
                       "Wall-clock of supervised sorts",
                       network=net).observe(report.latency_s)
-
-    def _supervise(
-        self, padded: np.ndarray, pipelined: bool, started: float
-    ) -> Tuple[np.ndarray, CallReport]:
-        policy = self.policy
-        detections: List[str] = []
-        attempts = retries = deadline_hits = 0
-        last_error: Optional[BaseException] = None
-        tiers = [
-            t for t in policy.tiers
-            if not (self.network == "fish" and t in ("jit", "interpreter"))
-        ]
-        # All trace_event calls are no-ops unless repro.obs is enabled;
-        # they journal every decision the retry/degradation ladder takes.
-        for tier_index, tier in enumerate(tiers):
-            if tier_index:
-                obs.trace_event("supervisor.degrade", network=self.network,
-                                to_tier=tier, attempts=attempts)
-            delay = policy.backoff_s
-            cap = policy.backoff_cap_s
-            for attempt in range(policy.max_retries + 1):
-                attempts += 1
-                if attempt:
-                    retries += 1
-                    sleep_s = delay if cap is None else min(delay, cap)
-                    obs.trace_event("supervisor.retry", network=self.network,
-                                    tier=tier, attempt=attempt,
-                                    delay_s=sleep_s)
-                    if sleep_s > 0:
-                        time.sleep(sleep_s)
-                    delay *= policy.backoff_factor
-                try:
-                    with time_limit(policy.deadline_s, f"{tier} sort"):
-                        data = self._run_tier(tier, padded, pipelined)
-                    report = CallReport(
-                        tier=tier,
-                        attempts=attempts,
-                        retries=retries,
-                        detections=tuple(dict.fromkeys(detections)),
-                        fell_back=tier_index > 0,
-                        deadline_hits=deadline_hits,
-                        latency_s=time.perf_counter() - started,
-                    )
-                    obs.trace_event("supervisor.accept", network=self.network,
-                                    tier=tier, attempts=attempts)
-                    return data, report
-                except CheckerAlarm as exc:
-                    detections.extend(exc.alarms)
-                    last_error = exc
-                    obs.trace_event("supervisor.alarm", network=self.network,
-                                    tier=tier, attempt=attempt,
-                                    alarms=list(exc.alarms))
-                except DeadlineExceeded as exc:
-                    deadline_hits += 1
-                    last_error = exc
-                    obs.trace_event("supervisor.deadline",
-                                    network=self.network, tier=tier,
-                                    attempt=attempt,
-                                    budget_s=policy.deadline_s)
-                except (SimulationError, RuntimeError) as exc:
-                    last_error = exc
-                    obs.trace_event("supervisor.error", network=self.network,
-                                    tier=tier, attempt=attempt,
-                                    error=repr(exc))
-        # Every tier (including behavioral) failed — propagate the last
-        # cause wrapped in the structured hierarchy.
-        obs.trace_event("supervisor.exhausted", network=self.network,
-                        attempts=attempts, error=repr(last_error))
-        if isinstance(last_error, ReproError):
-            raise last_error
-        raise SimulationError(f"supervised sort failed: {last_error!r}")
-
 
 # ---------------------------------------------------------------------------
 # Shared per-network supervisors (used by core.api.sort_bits)

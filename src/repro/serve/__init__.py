@@ -3,10 +3,11 @@
 The paper's Section IV applications — concentrators and the Fig. 10
 radix permuter — are a switching fabric; :mod:`repro.serve` serves
 them.  An asyncio :class:`SortingService` accepts **sort / concentrate
-/ route** requests, coalesces them into engine-sized batches (>= 64
-lanes rides the bit-packed path — batching is free throughput),
-executes each batch in one pass on self-checking hardware with the
-supervised degradation ladder, and applies **credit-based admission
+/ route** requests, coalesces them into batches (the JIT kernel packs
+one lane per bit — batching is free throughput), executes each batch
+on self-checking hardware through the checked-run path
+(:func:`repro.runtime.run_checked`: one JIT pass when healthy, the
+degradation ladder when not), and applies **credit-based admission
 control**: bounded queues, explicit ``shed`` responses with retry
 hints, never unbounded latency.  The request framing and credit loop
 follow the zamlet NoC switch exemplar (header-routed packets,

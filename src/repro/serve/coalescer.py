@@ -43,7 +43,7 @@ class Lane:
 
 @dataclass(frozen=True)
 class Batch:
-    """A flushed group of same-width lanes, ready for one engine pass."""
+    """A flushed group of same-width lanes, ready for one checked fabric pass."""
 
     width: int
     lanes: Tuple[Lane, ...]

@@ -1,62 +1,46 @@
-"""Checked batch execution for the service: one engine pass per batch.
+"""Checked batch execution for the service: one checked run per batch.
 
 The executor owns the *fabric*: per-width self-checking netlists
 (:func:`repro.circuits.checkers.with_checkers` — sortedness +
 ones-count + control duplicate-and-compare alarms) built once and
 reused across the whole request stream, the pipelined-reuse pattern
-Piotrów's periodic merging networks motivate.  Each flushed batch runs
-as **one** simulation pass; at >= 64 lanes the engine's bit-packed
-uint64 path kicks in, which is where batching turns into throughput.
+Piotrów's periodic merging networks motivate.
 
-Acceptance mirrors the supervised runtime's two gates, vectorized over
-the batch:
-
-1. every alarm wire of the row must be quiet, and
-2. the row must be monotone with the caller-held input's popcount
-   (which closes the checkers' fault-secure boundary at the primary
-   inputs; for 0/1 rows monotone + popcount is a *complete* check, so
-   an accepted row is provably correct).
-
-Rows failing either gate are **recovered behaviorally** (``np.sort`` of
-the held input) before the response is assembled — a degraded-but-
-correct answer, never a silent corruption.  Whole-pass failures walk
-the same ladder as the supervisor: auto-routed ``simulate`` (JIT →
-engine) → element-at-a-time interpreter → behavioral sort.
+Each flushed batch is one :func:`repro.runtime.checked.run_checked`
+call with no retries: one pass of the JIT kernel over every lane
+(the bit-slice kernel packs a lane per bit, which is where batching
+turns into throughput).  A row is accepted when its alarm wires are
+quiet and it is monotone with the caller-held input's popcount — a
+*complete* check on 0/1 rows, so an accepted row is provably correct.
+Rows that fail get the engine and interpreter rungs, then are
+**recovered behaviorally** (``np.sort`` of the held input): a
+degraded-but-correct answer, never a silent corruption.  The batch's
+``tier`` names the deepest rung any row needed: ``jit``, ``engine``
+(under ``REPRO_JIT=0``), ``interpreter`` or ``behavioral``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..circuits.checkers import CheckedNetlist, with_checkers
-from ..circuits.simulate import simulate, simulate_interpreted
 from ..core.api import make_sorter, next_power_of_two
-from ..errors import BuildError, ReproError
+from ..errors import BuildError
+from ..runtime.checked import CheckedRun, RecoveryPolicy, run_checked
 from .. import obs
 
 __all__ = ["BatchOutcome", "FabricExecutor"]
 
+#: One batch pass: verified rows plus what it took (see
+#: :class:`~repro.runtime.checked.CheckedRun`).
+BatchOutcome = CheckedRun
 
-@dataclass
-class BatchOutcome:
-    """Result of one batch pass: verified rows plus what it took."""
-
-    data: np.ndarray  #: (lanes, width) final rows, all provably correct
-    accepted: np.ndarray  #: bool mask — rows the hardware answer survived
-    tier: str  #: "engine" (auto simulate), "interpreter", or "behavioral"
-    alarms: int  #: rows with any checker alarm set
-    invariant_fails: int  #: alarm-quiet rows failing monotone/popcount
-    recovered: int  #: rows replaced by behavioral recovery
-    wall_s: float  #: execution wall-clock for the whole pass
-
-    @property
-    def lanes(self) -> int:
-        return int(self.data.shape[0])
+#: No retries: a failing rung degrades at once, so a faulty batch costs
+#: one pass per rung.
+_POLICY = RecoveryPolicy(max_retries=0)
 
 
 class FabricExecutor:
@@ -103,9 +87,9 @@ class FabricExecutor:
         """Pre-build (and pre-compile) the fabric for the given widths so
         the first request doesn't pay netlist construction."""
         for w in widths:
-            hw = self.checked(self.pad_width(w))
-            probe = np.zeros((1, hw.n_data), dtype=np.uint8)
-            simulate(hw.netlist, probe)  # compile the plan now
+            width = self.pad_width(w)
+            probe = np.zeros((1, width), dtype=np.uint8)
+            run_checked(self.checked(width), probe, _POLICY)  # compile now
 
     # -- execution ------------------------------------------------------------
 
@@ -116,75 +100,30 @@ class FabricExecutor:
         fabric width.  Never raises for hardware/checker trouble — every
         failure mode degrades to a behaviorally recovered (correct) row.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise BuildError(f"batch must be (lanes, {width}), got {rows.shape}")
-        started = time.perf_counter()
-        checked = self.checked(width)
-        expected = None  # computed lazily: most batches never need it
-
-        tier = "engine"
-        data = alarm_rows = None
-        try:
-            out = simulate(checked.netlist, rows)  # auto JIT -> engine
-            data, alarms = checked.split(out)
-            alarm_rows = alarms.any(axis=1)
-        except (ReproError, RuntimeError):
-            try:
-                tier = "interpreter"
-                out = simulate_interpreted(checked.netlist, rows)
-                data, alarms = checked.split(out)
-                alarm_rows = alarms.any(axis=1)
-            except (ReproError, RuntimeError):
-                tier = "behavioral"
-                expected = np.sort(rows, axis=1)
-                data = expected
-                alarm_rows = np.zeros(rows.shape[0], dtype=bool)
-
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        invariant_ok = (np.diff(data.astype(np.int8), axis=1) >= 0).all(axis=1) & (
-            data.sum(axis=1) == rows.sum(axis=1)
-        )
-        accepted = ~alarm_rows & invariant_ok
-        if tier == "behavioral":
-            accepted = np.zeros(rows.shape[0], dtype=bool)
-        n_alarm = int(alarm_rows.sum())
-        n_invariant = int((~invariant_ok & ~alarm_rows).sum())
-        n_recovered = int((~accepted).sum())
-        if not accepted.all():
-            if expected is None:
-                expected = np.sort(rows, axis=1)
-            data = np.where(accepted[:, None], data, expected)
-
-        wall_s = time.perf_counter() - started
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
+            raise BuildError(f"batch must be (lanes, {width}), got {np.shape(rows)}")
+        outcome = run_checked(self.checked(width), rows, _POLICY,
+                              network=self.network)
         if obs.OBS.enabled:
-            self._record_metrics(width, rows.shape[0], tier, n_alarm,
-                                 n_recovered, wall_s)
-        return BatchOutcome(
-            data=data,
-            accepted=accepted,
-            tier=tier,
-            alarms=n_alarm,
-            invariant_fails=n_invariant,
-            recovered=n_recovered,
-            wall_s=wall_s,
-        )
+            self._record_metrics(width, outcome)
+        return outcome
 
-    def _record_metrics(self, width, lanes, tier, alarms, recovered, wall_s):
+    def _record_metrics(self, width: int, outcome: BatchOutcome) -> None:
         reg = obs.OBS.registry
         net = self.network
         reg.counter("repro_serve_batches_total",
-                    "Batches executed by accepted tier",
-                    network=net, tier=tier).inc()
+                    "Batches executed by the deepest rung any row needed",
+                    network=net, tier=outcome.tier).inc()
         reg.counter("repro_serve_lanes_total",
-                    "Fabric lanes executed", network=net).inc(lanes)
-        if alarms:
+                    "Fabric lanes executed", network=net).inc(outcome.lanes)
+        if outcome.alarms:
             reg.counter("repro_serve_alarm_rows_total",
-                        "Batch rows with checker alarms", network=net).inc(alarms)
-        if recovered:
+                        "Batch rows with checker alarms",
+                        network=net).inc(outcome.alarms)
+        if outcome.recovered:
             reg.counter("repro_serve_recovered_rows_total",
                         "Rows replaced by behavioral recovery",
-                        network=net).inc(recovered)
+                        network=net).inc(outcome.recovered)
         reg.histogram("repro_serve_batch_seconds",
                       "Wall-clock per batch pass", network=net,
-                      width=width).observe(wall_s)
+                      width=width).observe(outcome.wall_s)

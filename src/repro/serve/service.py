@@ -313,12 +313,12 @@ class SortingService:
         queued_s = max(r.queued_s for r in results)
         service_s = sum(r.service_s for r in results)
         batch_lanes = max(r.batch_lanes for r in results)
-        recovered = any(not r.accepted for r in results)
-        tiers = tuple(dict.fromkeys(r.tier for r in results if r.tier != "engine"))
+        # A lane the hardware did not answer names the rung that did.
+        detections = tuple(dict.fromkeys(r.tier for r in results if not r.accepted))
         base = dict(
             status="ok", kind=request.kind, tag=request.tag,
-            queued_s=queued_s, service_s=service_s,
-            batch_lanes=batch_lanes, recovered=recovered, detections=tiers,
+            queued_s=queued_s, service_s=service_s, batch_lanes=batch_lanes,
+            recovered=bool(detections), detections=detections,
         )
         n = request.n
         if request.kind == "sort":

@@ -34,6 +34,7 @@ from repro.runtime import (
     supervisor_stats,
     time_limit,
 )
+from repro.runtime import checked
 
 
 @pytest.fixture(autouse=True)
@@ -262,10 +263,10 @@ class TestDeadline:
             max_retries=0, deadline_s=0.05))
         slow = lambda *a, **k: time.sleep(10)
         monkeypatch.setattr(
-            type(sup), "_run_tier",
-            lambda self, tier, padded, pipelined:
+            checked, "_run_tier",
+            lambda tier, hw, rows, pipelined:
                 slow() if tier in ("jit", "engine")
-                else np.sort(padded),
+                else (np.sort(rows, axis=1), None),
         )
         bits = rng.integers(0, 2, 8).astype(np.uint8)
         out, report = sup.sort_verbose(bits)
@@ -355,13 +356,13 @@ class TestBackoffCap:
             max_backoff_s=2e-3, tiers=("engine", "behavioral")))
         calls = {"n": 0}
 
-        def flaky(self, tier, padded, pipelined):
+        def flaky(tier, hw, rows, pipelined):
             calls["n"] += 1
             if tier == "engine":
                 raise SimulationError("chaos")
-            return np.sort(padded)
+            return np.sort(rows, axis=1), None
 
-        monkeypatch.setattr(type(sup), "_run_tier", flaky)
+        monkeypatch.setattr(checked, "_run_tier", flaky)
         slept = []
         monkeypatch.setattr(
             "repro.runtime.supervisor.time.sleep", slept.append)
@@ -378,12 +379,12 @@ class TestBackoffCap:
             max_retries=2, backoff_s=1e-3, backoff_factor=10.0,
             tiers=("engine", "behavioral")))
 
-        def flaky(self, tier, padded, pipelined):
+        def flaky(tier, hw, rows, pipelined):
             if tier == "engine":
                 raise SimulationError("chaos")
-            return np.sort(padded)
+            return np.sort(rows, axis=1), None
 
-        monkeypatch.setattr(type(sup), "_run_tier", flaky)
+        monkeypatch.setattr(checked, "_run_tier", flaky)
         slept = []
         monkeypatch.setattr(
             "repro.runtime.supervisor.time.sleep", slept.append)

@@ -296,6 +296,12 @@ class TestServiceEndToEnd:
             else:  # route: result[j] is the source reaching output j
                 assert np.array_equal(truth[resp.result], np.arange(truth.size))
 
+    def test_healthy_response_has_no_detections(self, rng):
+        bits = rng.integers(0, 2, 64)
+        (resp,) = serve_requests([sort_request(bits)], _small_config())
+        assert resp.ok and np.array_equal(resp.result, np.sort(bits))
+        assert resp.detections == () and resp.recovered is False
+
     def test_batching_actually_happens(self, rng):
         reqs = [sort_request(rng.integers(0, 2, 16)) for _ in range(64)]
         responses = serve_requests(reqs, _small_config(max_lanes=16))

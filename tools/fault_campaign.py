@@ -32,14 +32,15 @@ With ``--supervised`` each fault is additionally re-run on
 ones-count + control duplicate-and-compare for the combinational
 networks; the boundary :class:`~repro.circuits.checkers.OutputChecker`
 for the fish) and re-classified with the alarm wires taken into account
-(``supervised_outcome``), plus a live :class:`repro.runtime.Supervisor`
-pass on the broken hardware asserting every supervised sort still
-returns the correct answer via detection + fallback (``supervised_ok``).
-Faults on a network's *primary input wires* are flagged ``input_fault``:
-they sit upstream of the checkers' fault-secure region (the checker
-observes the already-faulted bus) and are excluded from the zero-silent
-acceptance bar — the supervisor still recovers them through its
-software invariant gate, which compares against the caller-held input.
+(``supervised_outcome``), plus a live :func:`repro.runtime.run_checked`
+pass (the supervisor's recovery ladder) on the broken hardware asserting
+every row still comes back correct via detection + fallback
+(``supervised_ok``).  Faults on a network's *primary input wires* are
+flagged ``input_fault``: they sit upstream of the checkers' fault-secure
+region (the checker observes the already-faulted bus) and are excluded
+from the zero-silent acceptance bar — the checked run still recovers
+them through its acceptance gate, which compares against the
+caller-held input.
 
 Fault models per network:
 
@@ -88,7 +89,6 @@ see docs/OBSERVABILITY.md.
 """
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -173,14 +173,14 @@ def _classify_combinational(mutant, probes, expected, diff_rows: int):
 
 
 def _supervised_rows(probes: np.ndarray, count: int) -> np.ndarray:
-    """A small deterministic spread of probe rows for the live
-    supervisor pass (evenly strided through the batch)."""
+    """A small deterministic spread of probe rows for the live checked
+    run (evenly strided through the batch)."""
     stride = max(1, probes.shape[0] // max(count, 1))
     return probes[::stride][:count]
 
 
-def _supervised_extras_combinational(name, checked, faults, probes, expected, args):
-    """Re-run one fault on self-checking hardware + a live supervisor.
+def _supervised_extras_combinational(checked, faults, probes, expected, args):
+    """Re-run one fault on self-checking hardware + a live checked run.
 
     The fault set was enumerated on the *plain* netlist; `with_checkers`
     keeps all original wire ids and element indices valid, so the exact
@@ -190,21 +190,17 @@ def _supervised_extras_combinational(name, checked, faults, probes, expected, ar
 
     from repro.analysis.resilience import alarm_stats, classify_with_alarms
     from repro.circuits import apply_faults, simulate
-    from repro.runtime import RecoveryPolicy, Supervisor
+    from repro.runtime import RecoveryPolicy, run_checked
 
     cmutant = apply_faults(checked.netlist, faults)
     out = simulate(cmutant, probes)
     data, alarms = checked.split(out)
     inputs = set(checked.netlist.inputs)
     input_fault = any(getattr(f, "wire", -1) in inputs for f in faults)
-    broken = dataclasses.replace(checked, netlist=cmutant)
-    sup = Supervisor(
-        name, policy=RecoveryPolicy(max_retries=0), hardware=lambda n: broken
-    )
-    supervised_ok = all(
-        np.array_equal(sup.sort(row), np.sort(row))
-        for row in _supervised_rows(probes, args.supervised_probes)
-    )
+    rows = _supervised_rows(probes, args.supervised_probes)
+    run = run_checked(dataclasses.replace(checked, netlist=cmutant), rows,
+                      RecoveryPolicy(max_retries=0))
+    supervised_ok = np.array_equal(run.data, np.sort(rows, axis=1))
     return {
         "supervised_outcome": classify_with_alarms(data, alarms, expected),
         "alarm": alarm_stats(data, alarms, expected),
@@ -218,19 +214,18 @@ def _supervised_extras_fish(checker, probes, expected, outs):
     for one fish fault (outputs already computed cycle-accurately).
 
     A supervised fish call falls back to behavioral sort whenever the
-    boundary checker alarms or the software invariant gate (monotone +
-    caller-held ones count) fails; the call is therefore correct unless
-    a wrong row passes both gates — exactly the condition tested here.
+    acceptance gate (boundary alarms quiet, output monotone with the
+    caller-held ones count) rejects its row; the call is therefore
+    correct unless the gate accepts a wrong row — exactly the condition
+    tested here.
     """
-    from repro.analysis.resilience import alarm_stats, classify_with_alarms, monotone_rows
+    from repro.analysis.resilience import alarm_stats, classify_with_alarms
+    from repro.circuits.checkers import accept_rows
 
     alarms = checker.alarms(probes, outs)
-    row_alarm = alarms.any(axis=1)
-    invariant_fail = (
-        outs.sum(axis=1) != probes.sum(axis=1)
-    ) | ~monotone_rows(outs)
     wrong = (outs != expected).any(axis=1)
-    supervised_ok = bool((~wrong | row_alarm | invariant_fail).all())
+    accepted = accept_rows(probes, outs, alarms.any(axis=1))
+    supervised_ok = not (accepted & wrong).any()
     return {
         "supervised_outcome": classify_with_alarms(outs, alarms, expected),
         "alarm": alarm_stats(outs, alarms, expected),
@@ -359,7 +354,7 @@ def _comb_record(name, kind, faults, rid) -> dict:
     }
     if ctx["checked"] is not None:
         record.update(_supervised_extras_combinational(
-            name, ctx["checked"], faults, ctx["probes"], ctx["expected"], args
+            ctx["checked"], faults, ctx["probes"], ctx["expected"], args
         ))
     return record
 
@@ -508,7 +503,7 @@ def main(argv=None) -> int:
 
     import repro.obs as obs
     from repro.analysis.resilience import SILENT, format_resilience_table, summarize
-    from repro.ioutil import atomic_write_json, atomic_write_text
+    from repro.ioutil import atomic_write_json, atomic_write_text, load_checkpoint
     from repro.parallel import run_items
 
     if args.trace or args.metrics:
@@ -527,20 +522,12 @@ def main(argv=None) -> int:
     }
     records = []
     quarantine = []
-    if args.out.is_file() and not args.no_resume:
-        try:
-            prior = json.loads(args.out.read_text())
-        except (ValueError, OSError):
-            prior = None  # unreadable checkpoint: start over
-        if prior and prior.get("meta", {}).get("version") == FORMAT_VERSION:
-            same = {k: prior["meta"].get(k) for k in meta if k != "complete"}
-            if same == {k: v for k, v in meta.items() if k != "complete"}:
-                records = prior.get("records", [])
-                quarantine = prior.get("quarantine", [])
-                print(f"resuming from {args.out}: {len(records)} records done"
-                      + (f", {len(quarantine)} quarantined" if quarantine else ""))
-            else:
-                print(f"checkpoint {args.out} is from different settings; starting over")
+    prior = None if args.no_resume else load_checkpoint(args.out, meta, FORMAT_VERSION)
+    if prior is not None:
+        records = prior.get("records", [])
+        quarantine = prior.get("quarantine", [])
+        print(f"resuming from {args.out}: {len(records)} records done"
+              + (f", {len(quarantine)} quarantined" if quarantine else ""))
     done = {r["id"] for r in records} | {q["id"] for q in quarantine}
 
     state = {"since_checkpoint": 0}

@@ -33,10 +33,11 @@ Each cell's requests are cut into *chunks* (the parallel work unit,
 workers) and chunks into *rounds* (the checkpoint unit).  A seeded
 draw runs each chunk in one of two modes:
 
-* ``batch`` — the whole chunk simulated on self-checking hardware
-  (:func:`repro.circuits.checkers.with_checkers`) in one engine pass;
-  alarm rows and software-invariant failures (monotone + caller-held
-  ones count) are recovered behaviorally;
+* ``batch`` — the whole chunk run on self-checking hardware
+  (:func:`repro.circuits.checkers.with_checkers`) by one
+  :func:`repro.runtime.run_checked` call with no retries; rows with
+  alarms or failing the software gate (monotone + caller-held ones
+  count) get the lower rungs and are recovered behaviorally;
 * ``supervised`` — request-at-a-time through a live
   :class:`repro.runtime.Supervisor` (retry, backoff cap, degradation
   ladder), the path deadline storms genuinely preempt.
@@ -65,7 +66,6 @@ gated by ``tools/compare_sweeps.py``.  See docs/SOAK.md.
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import pathlib
@@ -188,10 +188,6 @@ def _pad_rows(rows, width: int, npad: int) -> np.ndarray:
     return batch
 
 
-def _monotone_rows(data: np.ndarray) -> np.ndarray:
-    return (np.diff(data.astype(np.int8), axis=1) >= 0).all(axis=1)
-
-
 def _soak_chunk(payload) -> dict:
     """Execute one chunk of requests; returns the chunk record.
 
@@ -213,31 +209,25 @@ def _soak_chunk(payload) -> dict:
     outputs = [None] * len(rows)
 
     if mode == "batch":
+        from repro.runtime import RecoveryPolicy, run_checked
+
         by_width = {}
         for pos, row in enumerate(rows):
             by_width.setdefault(row.size, []).append(pos)
         for width, positions in sorted(by_width.items()):
             npad = next_power_of_two(max(width, 2))
             batch = _pad_rows([rows[p] for p in positions], width, npad)
-            checked = _checked_hardware(network, npad, fault_seed)
-            from repro.circuits import simulate
-
-            out = simulate(checked.netlist, batch)
-            data, alarms = checked.split(out)
-            alarm_rows = alarms.any(axis=1)
-            invariant_ok = _monotone_rows(data) & (
-                data.sum(axis=1) == batch.sum(axis=1)
-            )
-            accepted = ~alarm_rows & invariant_ok
-            expected = np.sort(batch, axis=1)
-            wrong = (data != expected).any(axis=1)
-            stats["alarms"] += int(alarm_rows.sum())
-            stats["invariant"] += int((~invariant_ok & ~alarm_rows).sum())
-            stats["silent"] += int((accepted & wrong).sum())
-            stats["recovered"] += int((~accepted).sum())
-            final = np.where(accepted[:, None], data, expected)
+            run = run_checked(_checked_hardware(network, npad, fault_seed),
+                              batch, RecoveryPolicy(max_retries=0))
+            # Ground-truth replay: an accepted wrong row is a silent
+            # corruption the gate missed.
+            wrong = (run.data != np.sort(batch, axis=1)).any(axis=1)
+            stats["alarms"] += run.alarms
+            stats["invariant"] += run.invariant_fails
+            stats["silent"] += int((run.accepted & wrong).sum())
+            stats["recovered"] += run.recovered
             for local, pos in enumerate(positions):
-                outputs[pos] = final[local, :width]
+                outputs[pos] = run.data[local, :width]
     else:  # supervised
         sup = _supervisor_for(network, fault_seed, deadline_s)
         for pos, row in enumerate(rows):
@@ -540,7 +530,7 @@ def main(argv=None) -> int:
     args.workdir = str(args.workdir)
 
     import repro.obs as obs
-    from repro.ioutil import atomic_write_json, atomic_write_text
+    from repro.ioutil import atomic_write_json, atomic_write_text, load_checkpoint
     from repro.parallel import run_items
 
     if args.trace or args.metrics:
@@ -572,27 +562,19 @@ def main(argv=None) -> int:
         "lat_hist": {}, "cells": {}, "chaos_log": [],
         "kills_sent": 0, "rounds": 0,
     }
-    if args.out.is_file() and not args.no_resume:
-        try:
-            prior = json.loads(args.out.read_text())
-        except (ValueError, OSError):
-            prior = None  # unreadable checkpoint: start over
-        pmeta = (prior or {}).get("meta", {})
-        same = all(pmeta.get(k) == v for k, v in meta.items() if k != "complete")
-        if prior and pmeta.get("version") == FORMAT_VERSION and same:
-            if pmeta.get("complete"):
-                print(f"{args.out} is already a complete soak document "
-                      f"(--no-resume to re-run)")
-                return 0 if prior.get("verdict") == "PASS" else 1
-            for cell, recs in prior.get("chunks", {}).items():
-                chunks[cell] = {int(k): v for k, v in recs.items()}
-            quarantine = prior.get("quarantine", [])
-            measured = prior.get("measured", measured)
-            done_n = sum(len(v) for v in chunks.values())
-            print(f"resuming from {args.out}: {done_n} chunks done"
-                  + (f", {len(quarantine)} quarantine events" if quarantine else ""))
-        elif prior:
-            print(f"checkpoint {args.out} is from different settings; starting over")
+    prior = None if args.no_resume else load_checkpoint(args.out, meta, FORMAT_VERSION)
+    if prior is not None:
+        if prior["meta"].get("complete"):
+            print(f"{args.out} is already a complete soak document "
+                  f"(--no-resume to re-run)")
+            return 0 if prior.get("verdict") == "PASS" else 1
+        for cell, recs in prior.get("chunks", {}).items():
+            chunks[cell] = {int(k): v for k, v in recs.items()}
+        quarantine = prior.get("quarantine", [])
+        measured = prior.get("measured", measured)
+        done_n = sum(len(v) for v in chunks.values())
+        print(f"resuming from {args.out}: {done_n} chunks done"
+              + (f", {len(quarantine)} quarantine events" if quarantine else ""))
 
     def checkpoint():
         atomic_write_json(args.out, {
