@@ -40,7 +40,6 @@ from .tables import format_table
 from .verify import (
     verify_netlist_random,
     verify_sorter_exhaustive,
-    verify_sorter_exhaustive_parallel,
     verify_sorter_random,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "summarize",
     "verify_netlist_random",
     "verify_sorter_exhaustive",
-    "verify_sorter_exhaustive_parallel",
     "verify_sorter_random",
 ]

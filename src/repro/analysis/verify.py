@@ -53,58 +53,6 @@ def verify_sorter_random(
     return True
 
 
-def _verify_chunk(args) -> bool:
-    """Worker for :func:`verify_sorter_exhaustive_parallel`."""
-    payload, start, stop = args
-    from ..circuits.serialize import from_json
-
-    netlist = from_json(payload)
-    n = len(netlist.inputs)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    idx = np.arange(start, stop, dtype=np.uint64)
-    batch = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return bool(np.array_equal(simulate(netlist, batch), np.sort(batch, axis=1)))
-
-
-def verify_sorter_exhaustive_parallel(
-    netlist: Netlist, workers: int = 2, batch_bits: int = 14
-) -> bool:
-    """Exhaustive verification fanned out over a process pool.
-
-    The ``2**n`` input space splits into independent chunks, each checked
-    in a worker process (the netlist ships as JSON, NumPy does the rest)
-    — embarrassingly parallel verification for the widest exhaustible
-    sorters.
-    """
-    import multiprocessing as mp
-
-    n = len(netlist.inputs)
-    if n > 22:
-        raise ValueError(f"exhaustive check infeasible for n={n}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    total = 1 << n
-    chunk = 1 << min(batch_bits, n)
-    payload = None
-    from ..circuits.serialize import to_json
-
-    payload = to_json(netlist)
-    jobs = [
-        (payload, start, min(start + chunk, total))
-        for start in range(0, total, chunk)
-    ]
-    if workers == 1 or len(jobs) == 1:
-        return all(_verify_chunk(j) for j in jobs)
-    # fork avoids re-importing __main__ (robust under REPLs/pytest);
-    # fall back to spawn where fork is unavailable
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = mp.get_context("spawn")
-    with ctx.Pool(workers) as pool:
-        return all(pool.map(_verify_chunk, jobs))
-
-
 def verify_netlist_random(
     netlist: Netlist, trials: int = 256, rng: Optional[np.random.Generator] = None
 ) -> bool:

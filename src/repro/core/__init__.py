@@ -12,8 +12,8 @@ and the shared substructures (balanced merging block, patch-up network,
 k-way machinery).
 """
 
-from .api import (cache_info, clear_cache, make_sorter,
-                  next_power_of_two, set_cache_limit, sort_bits,
+from .api import (cache_info, clear_cache, make_checked_sorter, make_sorter,
+                  next_power_of_two, pad_bits, set_cache_limit, sort_bits,
                   sort_bits_many)
 from .balanced_merge import (
     balanced_merge_behavioral,
@@ -97,12 +97,14 @@ __all__ = [
     "is_clean_k_sorted",
     "is_k_sorted",
     "is_sorted_binary",
+    "make_checked_sorter",
     "make_sorter",
     "mux_merge_behavioral",
     "mux_merger",
     "mux_merger_sort_behavioral",
     "mux_merger_sorter",
     "next_power_of_two",
+    "pad_bits",
     "patchup_behavioral",
     "patchup_network",
     "prefix_sort_behavioral",

@@ -21,17 +21,22 @@ Two serving-oriented features live here as well:
   sharded over crash-isolated worker processes (``jobs=N``, via
   :mod:`repro.parallel`) with results in input order regardless of
   which worker sorted what.
+
+Two rules every sorting surface shares live here too, so the library,
+the supervisor, the service fabric and the soak agree on them:
+:func:`pad_bits` is the one padding rule, and :func:`make_checked_sorter`
+is the one builder (and cache) of self-checking hardware.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..circuits.netlist import Netlist
+from ..circuits.checkers import build_output_checker, with_checkers
 from ..circuits.simulate import simulate
 from ..errors import BuildError, SimulationError
 from .fish_sorter import FishSorter
@@ -41,7 +46,9 @@ from .prefix_sorter import build_prefix_sorter
 #: netlist cache shared by :func:`sort_bits` calls — bounded LRU,
 #: guarded by :data:`_CACHE_LOCK` (builds for large n take seconds; the
 #: lock makes concurrent first-calls build once, not n_threads times).
-_CACHE: "OrderedDict[Tuple[str, int], Union[Netlist, FishSorter]]" = OrderedDict()
+#: Checked hardware from :func:`make_checked_sorter` shares it under a
+#: ``(network, n, control)`` key.
+_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _CACHE_LOCK = threading.RLock()
 _CACHE_LIMIT = 32
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
@@ -54,6 +61,25 @@ def next_power_of_two(n: int) -> int:
     if n < 1:
         return 1
     return 1 << (n - 1).bit_length()
+
+
+def pad_bits(bits, network: str = "mux_merger") -> np.ndarray:
+    """Pad 0/1 rows with 1's to the width ``network`` sorts them at.
+
+    The width is the next power of two >= ``max(n, 2)`` (>= 4 for
+    ``"fish"``), ``n`` being the length of the last axis, so a 1-D row
+    and a 2-D ``(lanes, n)`` batch both work.  The padding 1's sort to
+    the bottom, so the first ``n`` outputs of sorting the padded row are
+    the sorted original row.  Returns ``bits`` itself when no padding is
+    needed.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.shape[-1]
+    width = next_power_of_two(max(n, 4 if network == "fish" else 2))
+    if width == n:
+        return arr
+    ones = np.ones(arr.shape[:-1] + (width - n,), dtype=np.uint8)
+    return np.concatenate([arr, ones], axis=-1)
 
 
 def _build_sorter(n: int, network: str):
@@ -74,7 +100,32 @@ def make_sorter(n: int, network: str = "mux_merger"):
     combinational networks and a :class:`FishSorter` for ``"fish"``.
     Cached in a bounded thread-safe LRU (see :func:`cache_info`).
     """
-    key = (network, n)
+    return _cached((network, n), lambda: _build_sorter(n, network))
+
+
+def make_checked_sorter(n: int, network: str = "mux_merger",
+                        control: bool = False):
+    """Build (and cache) self-checking hardware for exactly ``n`` inputs.
+
+    For the combinational networks this is the sorter with sortedness,
+    ones-count and (with ``control``) steering duplicate-and-compare
+    alarms attached (:func:`~repro.circuits.checkers.with_checkers`);
+    for ``"fish"`` it is the pair ``(FishSorter, OutputChecker)``, where
+    ``control`` has no effect.  One instance per ``(network, n,
+    control)`` lives in the same LRU as :func:`make_sorter`, so the
+    supervisor and the service fabric share it and :func:`clear_cache`
+    drops it.
+    """
+    def build():
+        if network == "fish":
+            return make_sorter(n, "fish"), build_output_checker(n)
+        return with_checkers(make_sorter(n, network), sortedness=True,
+                             count=True, control=control)
+
+    return _cached((network, n, bool(control) and network != "fish"), build)
+
+
+def _cached(key: tuple, build):
     with _CACHE_LOCK:
         sorter = _CACHE.get(key)
         if sorter is not None:
@@ -84,7 +135,7 @@ def make_sorter(n: int, network: str = "mux_merger"):
         # Build under the lock: concurrent first-calls must not each pay
         # the (multi-second at large n) construction, and an unknown
         # network name must fail before touching the cache.
-        sorter = _build_sorter(n, network)
+        sorter = build()
         _CACHE_STATS["misses"] += 1
         _CACHE[key] = sorter
         while len(_CACHE) > _CACHE_LIMIT:
@@ -120,9 +171,8 @@ def sort_bits(
         raise SimulationError("sort_bits expects a 0/1 sequence")
     if arr.size <= 1:
         return arr.copy()
-    n = next_power_of_two(max(arr.size, 4 if network == "fish" else 2))
-    padded = np.concatenate([arr, np.ones(n - arr.size, dtype=np.uint8)])
-    sorter = make_sorter(n, network)
+    padded = pad_bits(arr, network)
+    sorter = make_sorter(padded.size, network)
     if network == "fish":
         out, _ = sorter.sort(padded, pipelined=pipelined)
     else:
@@ -141,12 +191,9 @@ def _batch_worker_init(arg) -> None:
 
 def _sort_shard(payload) -> List[np.ndarray]:
     """Sort one contiguous shard of the batch (runs in a worker)."""
-    network, pipelined, supervised, arrays = payload
-    return [
-        sort_bits(arr, network=network, pipelined=pipelined,
-                  supervised=supervised)
-        for arr in arrays
-    ]
+    network, pipelined, arrays = payload
+    return [sort_bits(arr, network=network, pipelined=pipelined)
+            for arr in arrays]
 
 
 def sort_bits_many(
@@ -159,46 +206,55 @@ def sort_bits_many(
     """Sort many 0/1 sequences; results come back in input order.
 
     The batch equivalent of :func:`sort_bits` (same padding, same
-    networks, same ``supervised`` routing).  With ``jobs > 1`` the batch
-    is sharded over that many crash-isolated worker processes
-    (:mod:`repro.parallel`); each worker sorts its shard with warm
-    per-process sorter caches and deadlines that preempt on the worker's
-    main thread.  Results are deterministic and identical to a serial
-    call — parallelism never reorders or changes outputs.
+    networks).  With ``supervised=True`` the batch runs in this process
+    through the shared supervisor's
+    :meth:`~repro.runtime.Supervisor.run_many`, so every call folds into
+    :func:`supervisor_stats`; supervised batches take no ``jobs`` (a
+    :class:`~repro.errors.BuildError`): a worker's supervisor and its
+    stats would die with the worker, and the pool measured slower than
+    serial for supervised rows anyway.
 
-    Unlike the sweep/campaign tools, a batch sort has no quarantine
+    With ``jobs > 1`` an unsupervised batch is sharded over that many
+    crash-isolated worker processes (:mod:`repro.parallel`); each worker
+    sorts its shard with warm per-process sorter caches.  Results are
+    deterministic and identical to a serial call — parallelism never
+    reorders or changes outputs.  A batch sort has no quarantine
     side-channel to report into, so a shard that fails (or whose worker
     dies) raises :class:`~repro.errors.SimulationError` naming the
     shard; partial results are never returned silently.
     """
+    parallel = jobs is not None and jobs > 1
+    if supervised and parallel:
+        raise BuildError(
+            f"sort_bits_many: supervised batches run in-process; got jobs={jobs}"
+        )
     arrays = [np.asarray(s, dtype=np.uint8).ravel() for s in seqs]
     for arr in arrays:
         if arr.size and arr.max() > 1:
             raise SimulationError("sort_bits_many expects 0/1 sequences")
     if not arrays:
         return []
-    if jobs is None or jobs <= 1 or len(arrays) == 1:
-        return [
-            sort_bits(arr, network=network, pipelined=pipelined,
-                      supervised=supervised)
-            for arr in arrays
-        ]
+    if supervised:
+        from ..runtime import get_supervisor
+
+        outs, _reports = get_supervisor(network).run_many(
+            arrays, pipelined=pipelined)
+        return outs
+    if not parallel or len(arrays) == 1:
+        return [sort_bits(arr, network=network, pipelined=pipelined)
+                for arr in arrays]
     from ..parallel import run_items
 
     jobs = min(int(jobs), len(arrays))
     n_shards = min(len(arrays), jobs * 4)
     bounds = np.linspace(0, len(arrays), n_shards + 1, dtype=int)
     shards = [
-        (f"shard{i}", (network, pipelined, supervised,
-                       arrays[bounds[i]:bounds[i + 1]]))
+        (f"shard{i}", (network, pipelined, arrays[bounds[i]:bounds[i + 1]]))
         for i in range(n_shards)
         if bounds[i] < bounds[i + 1]
     ]
-    min_pad = 4 if network == "fish" else 2
-    sizes = sorted({
-        next_power_of_two(max(arr.size, min_pad))
-        for arr in arrays if arr.size > 1
-    })
+    sizes = sorted({pad_bits(arr, network).size
+                    for arr in arrays if arr.size > 1})
     outcomes = run_items(
         shards, _sort_shard, jobs=jobs,
         worker_init=_batch_worker_init, init_arg=(network, sizes),

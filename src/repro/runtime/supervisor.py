@@ -1,9 +1,9 @@
 """Supervised sort execution: detect, retry, degrade, recover.
 
 The :class:`Supervisor` is the online counterpart of the offline fault
-campaigns.  Every sort runs on **self-checking hardware** (the network
-with :func:`repro.circuits.checkers.with_checkers` attached, or the fish
-sorter paired with a boundary
+campaigns.  Every sort runs on **self-checking hardware**
+(:func:`repro.core.api.make_checked_sorter`: the network with checkers
+attached, or the fish sorter paired with a boundary
 :class:`~repro.circuits.checkers.OutputChecker`) through
 :func:`repro.runtime.checked.run_checked`: the result must have quiet
 alarm wires and pass the software gate (output monotone, with the
@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..circuits.checkers import build_output_checker, with_checkers
 from ..errors import BuildError, SimulationError
 from .checked import RecoveryPolicy, run_checked
 
@@ -102,10 +101,14 @@ class SupervisorStats:
 class Supervisor:
     """Run sorts on self-checking hardware with detection and recovery.
 
-    ``network`` is one of ``core.api.NETWORKS``.  ``hardware`` optionally
-    overrides how the (checked) circuit for a given width is obtained —
-    a callable ``n -> CheckedNetlist`` for the combinational networks,
-    or ``n -> (FishSorter, OutputChecker)`` for ``"fish"``.  The fault
+    ``network`` is one of ``core.api.NETWORKS``.  By default the checked
+    circuit for a width is the shared
+    :func:`~repro.core.api.make_checked_sorter` instance (with the
+    steering checker when ``policy.control_checker``).  ``hardware``
+    optionally overrides how it is obtained — a callable
+    ``n -> CheckedNetlist`` for the combinational networks, or
+    ``n -> (FishSorter, OutputChecker)`` for ``"fish"``, called on every
+    sort (cache inside the hook if building is costly).  The fault
     campaigns use this hook to hand the supervisor deliberately *broken*
     hardware and assert that every call still returns a correct, sorted
     result (via detection + fallback).
@@ -127,41 +130,18 @@ class Supervisor:
         self.policy = policy or RecoveryPolicy()
         self.stats = SupervisorStats()
         self._hardware = hardware
-        self._cache: Dict[int, object] = {}
-        self._lock = threading.RLock()
-
-    # -- hardware -------------------------------------------------------------
 
     def _get_hardware(self, n: int):
-        with self._lock:
-            hw = self._cache.get(n)
-            if hw is None:
-                hw = (
-                    self._hardware(n)
-                    if self._hardware is not None
-                    else self._build_hardware(n)
-                )
-                self._cache[n] = hw
-            return hw
+        if self._hardware is not None:
+            return self._hardware(n)
+        from ..core.api import make_checked_sorter
 
-    def _build_hardware(self, n: int):
-        from ..core.api import make_sorter
-
-        if self.network == "fish":
-            return make_sorter(n, "fish"), build_output_checker(n)
-        plain = make_sorter(n, self.network)
-        return with_checkers(
-            plain,
-            sortedness=True,
-            count=True,
-            control=self.policy.control_checker,
-        )
+        return make_checked_sorter(n, self.network,
+                                   self.policy.control_checker)
 
     def reset(self) -> None:
-        """Drop cached hardware and statistics."""
-        with self._lock:
-            self._cache.clear()
-            self.stats = SupervisorStats()
+        """Drop the accumulated statistics."""
+        self.stats = SupervisorStats()
 
     # -- public API -----------------------------------------------------------
 
@@ -171,69 +151,29 @@ class Supervisor:
         return out
 
     def run_many(
-        self, seqs, pipelined: bool = False, jobs: int = 1
+        self, seqs, pipelined: bool = False
     ) -> Tuple[List[np.ndarray], List[CallReport]]:
         """Supervised sort of a whole batch; results in input order.
 
         Returns ``(outputs, reports)`` — one sorted array and one
-        :class:`CallReport` per input sequence, and every report is
-        folded into this supervisor's :class:`SupervisorStats` exactly
-        as serial calls would be.
-
-        With ``jobs > 1`` the batch shards over crash-isolated worker
-        processes (:mod:`repro.parallel`); each worker runs its shard
-        through its own supervisor built from the same ``network`` and
-        ``policy``, on its process main thread — so ``deadline_s``
-        budgets genuinely preempt — and ships the per-call reports back
-        for the parent to fold in.  A custom ``hardware`` hook forces
-        the serial path: the hook is process-local state the workers
-        could not faithfully rebuild.  A shard whose worker fails or
-        dies raises :class:`~repro.errors.SimulationError`; partial
-        results are never returned silently.
+        :class:`CallReport` per input sequence, each from its own
+        :meth:`sort_verbose` call (so every row keeps its own deadline
+        budget and folds into this supervisor's :class:`SupervisorStats`).
+        It runs in this process: a process pool measured slower than
+        this loop at every batch size tried (see ``docs/PERFORMANCE.md``).
         """
-        arrays = [np.asarray(s, dtype=np.uint8).ravel() for s in seqs]
-        if (jobs is None or jobs <= 1 or len(arrays) <= 1
-                or self._hardware is not None):
-            outs, reports = [], []
-            for arr in arrays:
-                out, report = self.sort_verbose(arr, pipelined=pipelined)
-                outs.append(out)
-                reports.append(report)
-            return outs, reports
-        from ..parallel import run_items
-
-        jobs = min(int(jobs), len(arrays))
-        n_shards = min(len(arrays), jobs * 4)
-        bounds = np.linspace(0, len(arrays), n_shards + 1, dtype=int)
-        shards = [
-            (f"shard{i}", (self.network, self.policy, pipelined,
-                           arrays[bounds[i]:bounds[i + 1]]))
-            for i in range(n_shards)
-            if bounds[i] < bounds[i + 1]
-        ]
-        outcomes = run_items(
-            shards, _run_many_shard, jobs=jobs,
-            span="supervisor.sort_shard",
-        )
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise SimulationError(
-                f"run_many: {len(failed)} shard(s) failed; first: "
-                f"{failed[0].id}: {failed[0].error}"
-            )
         outs, reports = [], []
-        for outcome in outcomes:
-            for out, report in outcome.value:
-                outs.append(out)
-                reports.append(report)
-                self.stats.record(report)
+        for seq in seqs:
+            out, report = self.sort_verbose(seq, pipelined=pipelined)
+            outs.append(out)
+            reports.append(report)
         return outs, reports
 
     def sort_verbose(
         self, bits, pipelined: bool = False
     ) -> Tuple[np.ndarray, CallReport]:
         """Supervised sort returning the :class:`CallReport` as well."""
-        from ..core.api import next_power_of_two
+        from ..core.api import pad_bits
 
         arr = np.asarray(bits, dtype=np.uint8).ravel()
         if arr.size and arr.max() > 1:
@@ -244,9 +184,8 @@ class Supervisor:
                                 time.perf_counter() - started)
             self.stats.record(report)
             return arr.copy(), report
-        n = next_power_of_two(max(arr.size, 4 if self.network == "fish" else 2))
-        padded = np.concatenate([arr, np.ones(n - arr.size, dtype=np.uint8)])
-        hw = self._get_hardware(n)
+        padded = pad_bits(arr, self.network)
+        hw = self._get_hardware(padded.size)
         if obs.OBS.enabled:
             with obs.OBS.tracer.span(
                 "supervisor.sort", network=self.network, n=int(arr.size)
@@ -305,18 +244,6 @@ class Supervisor:
 # ---------------------------------------------------------------------------
 # Shared per-network supervisors (used by core.api.sort_bits)
 # ---------------------------------------------------------------------------
-
-def _run_many_shard(payload) -> List[Tuple[np.ndarray, CallReport]]:
-    """Sort one :meth:`Supervisor.run_many` shard in a worker process.
-
-    Rebuilds a supervisor from the (picklable) network name and policy;
-    the worker's own stats object is throwaway — the parent folds the
-    returned :class:`CallReport` objects into the real one.
-    """
-    network, policy, pipelined, arrays = payload
-    sup = Supervisor(network, policy=policy)
-    return [sup.sort_verbose(arr, pipelined=pipelined) for arr in arrays]
-
 
 _SUPERVISORS: Dict[str, Supervisor] = {}
 _SUPERVISORS_LOCK = threading.RLock()

@@ -1,10 +1,10 @@
 """Checked batch execution for the service: one checked run per batch.
 
 The executor owns the *fabric*: per-width self-checking netlists
-(:func:`repro.circuits.checkers.with_checkers` — sortedness +
-ones-count + control duplicate-and-compare alarms) built once and
-reused across the whole request stream, the pipelined-reuse pattern
-Piotrów's periodic merging networks motivate.
+(:func:`repro.core.api.make_checked_sorter` — sortedness + ones-count
++ control duplicate-and-compare alarms) built once and reused across
+the whole request stream, the pipelined-reuse pattern Piotrów's
+periodic merging networks motivate.
 
 Each flushed batch is one :func:`repro.runtime.checked.run_checked`
 call with no retries: one pass of the JIT kernel over every lane
@@ -21,13 +21,10 @@ degraded-but-correct answer, never a silent corruption.  The batch's
 
 from __future__ import annotations
 
-import threading
-from typing import Dict
-
 import numpy as np
 
-from ..circuits.checkers import CheckedNetlist, with_checkers
-from ..core.api import make_sorter, next_power_of_two
+from ..circuits.checkers import CheckedNetlist
+from ..core.api import make_checked_sorter, pad_bits
 from ..errors import BuildError
 from ..runtime.checked import CheckedRun, RecoveryPolicy, run_checked
 from .. import obs
@@ -60,36 +57,28 @@ class FabricExecutor:
             )
         self.network = network
         self.control = bool(control)
-        self._checked: Dict[int, CheckedNetlist] = {}
-        self._lock = threading.Lock()
 
     # -- hardware -------------------------------------------------------------
 
     def checked(self, width: int) -> CheckedNetlist:
-        """The self-checking netlist for ``width`` (built once, reused)."""
+        """The self-checking netlist for ``width`` (the shared
+        :func:`~repro.core.api.make_checked_sorter` instance)."""
         if width < 2 or width & (width - 1):
             raise BuildError(f"fabric width must be a power of two >= 2, got {width}")
-        with self._lock:
-            hw = self._checked.get(width)
-            if hw is None:
-                plain = make_sorter(width, self.network)
-                hw = with_checkers(
-                    plain, sortedness=True, count=True, control=self.control
-                )
-                self._checked[width] = hw
-            return hw
+        return make_checked_sorter(width, self.network, self.control)
 
     def pad_width(self, n: int) -> int:
-        """Fabric width serving an ``n``-bit row (next power of two)."""
-        return next_power_of_two(max(int(n), 2))
+        """Fabric width serving an ``n``-bit row (see
+        :func:`~repro.core.api.pad_bits`)."""
+        return pad_bits(np.empty((0, int(n)), dtype=np.uint8),
+                        self.network).shape[1]
 
     def warm(self, widths) -> None:
         """Pre-build (and pre-compile) the fabric for the given widths so
         the first request doesn't pay netlist construction."""
         for w in widths:
-            width = self.pad_width(w)
-            probe = np.zeros((1, width), dtype=np.uint8)
-            run_checked(self.checked(width), probe, _POLICY)  # compile now
+            probe = pad_bits(np.zeros((1, int(w)), dtype=np.uint8), self.network)
+            run_checked(self.checked(probe.shape[1]), probe, _POLICY)  # compile now
 
     # -- execution ------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from ..core.api import pad_bits
 from ..errors import BuildError, ReproError
 from .admission import CreditGate
 from .coalescer import Batch, BatchCoalescer, Lane
@@ -239,13 +240,8 @@ class SortingService:
                 (request.n, plane)
                 for plane in permutation_bit_planes(request.payload)
             ]
-        width = self.executor.pad_width(request.n)
-        row = request.payload
-        if width > row.size:
-            row = np.concatenate(
-                [row, np.ones(width - row.size, dtype=np.uint8)]
-            )
-        return [(width, row)]
+        row = pad_bits(request.payload, self.executor.network)
+        return [(row.size, row)]
 
     def _retry_hint(self) -> float:
         """Suggested backoff: time to drain the in-flight lanes at the

@@ -15,9 +15,10 @@ Covers, in order:
   under fork, shards merge back, worker metrics fold into the parent;
 * the ``--jobs`` wiring — ``tools/sweep.py`` and
   ``tools/fault_campaign.py`` produce records identical to their serial
-  runs, and the batch APIs (:func:`repro.core.sort_bits_many`,
-  :meth:`repro.runtime.Supervisor.run_many`) match their serial paths
-  bit for bit.
+  runs, and :func:`repro.core.sort_bits_many` matches its serial path
+  bit for bit; supervised batches (it and
+  :meth:`repro.runtime.Supervisor.run_many`) run in-process and fold
+  every call into the supervisor's stats.
 """
 
 import gc
@@ -36,10 +37,10 @@ import pytest
 
 import repro.obs as obs
 from repro.core import sort_bits_many
-from repro.errors import DeadlineExceeded, SimulationError
+from repro.errors import BuildError, DeadlineExceeded, SimulationError
 from repro.obs import FileSink, MetricsRegistry, merge_shards, read_trace, shard_paths
 from repro.parallel import ItemOutcome, run_items, split_outcomes
-from repro.runtime import Supervisor
+from repro.runtime import Supervisor, reset_supervisors, supervisor_stats
 from repro.runtime.guard import (
     _reset_unguarded_warning,
     _unraisable_frame,
@@ -373,24 +374,47 @@ class TestBatchAPIs:
         rng = np.random.default_rng(7)
         seqs = [rng.integers(0, 2, size=9).astype(np.uint8)
                 for _ in range(6)]
-        out = sort_bits_many(seqs, network="fish", supervised=True, jobs=2)
+        out = sort_bits_many(seqs, network="fish", supervised=True, jobs=1)
         for got, src in zip(out, seqs):
             assert np.array_equal(got, np.sort(src))
+
+    def test_sort_bits_many_supervised_folds_stats(self):
+        rng = np.random.default_rng(12)
+        seqs = list(rng.integers(0, 2, (12, 16)).astype(np.uint8))
+        reset_supervisors()
+        try:
+            out = sort_bits_many(seqs, network="prefix", supervised=True)
+            for got, src in zip(out, seqs):
+                assert np.array_equal(got, np.sort(src))
+            assert supervisor_stats()["prefix"]["calls"] == len(seqs)
+        finally:
+            reset_supervisors()
+
+    def test_sort_bits_many_supervised_rejects_jobs(self):
+        reset_supervisors()
+        try:
+            with pytest.raises(BuildError):
+                sort_bits_many([[1, 0], [0, 1]], network="prefix",
+                               supervised=True, jobs=2)
+            # rejected before any sort ran
+            assert "prefix" not in supervisor_stats()
+        finally:
+            reset_supervisors()
 
     def test_supervisor_run_many_matches_serial_and_folds_stats(self):
         rng = np.random.default_rng(11)
         seqs = [rng.integers(0, 2, size=rng.integers(1, 33)).astype(np.uint8)
                 for _ in range(10)]
         ser_sup = Supervisor("prefix")
-        ser_out, ser_reports = ser_sup.run_many(seqs, jobs=1)
-        par_sup = Supervisor("prefix")
-        par_out, par_reports = par_sup.run_many(seqs, jobs=2)
-        for got, want, src in zip(par_out, ser_out, seqs):
+        ser = [ser_sup.sort_verbose(s) for s in seqs]
+        many_sup = Supervisor("prefix")
+        many_out, many_reports = many_sup.run_many(seqs)
+        for got, (want, _), src in zip(many_out, ser, seqs):
             assert np.array_equal(got, want)
             assert np.array_equal(got, np.sort(src))
-        assert [r.tier for r in par_reports] == [r.tier for r in ser_reports]
-        # every shard's reports were folded into the parent's stats
-        assert par_sup.stats.snapshot()["calls"] == len(seqs)
+        assert [r.tier for r in many_reports] == [r.tier for _, r in ser]
+        # every row's report was folded into the supervisor's stats
+        assert many_sup.stats.snapshot()["calls"] == len(seqs)
 
 
 def _nap_if_stuck(x):

@@ -1,11 +1,9 @@
-"""Tests for (n,m)-concentrator truncation and parallel verification."""
+"""Tests for (n,m)-concentrator truncation."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.verify import verify_sorter_exhaustive_parallel
 from repro.baselines.batcher import build_odd_even_merge_sorter
-from repro.core import build_mux_merger_sorter
 from repro.networks.concentrator import SortingConcentrator, check_concentration
 
 
@@ -47,33 +45,3 @@ class TestTruncatedConcentrator:
     def test_truncated_output_count(self):
         c = SortingConcentrator(16, 4)
         assert len(c.netlist.outputs) == 4
-
-
-class TestParallelVerification:
-    def test_accepts_correct_sorter(self):
-        net = build_mux_merger_sorter(16)
-        assert verify_sorter_exhaustive_parallel(net, workers=2, batch_bits=10)
-
-    def test_rejects_broken_sorter(self):
-        from repro.circuits import CircuitBuilder
-
-        b = CircuitBuilder()
-        ws = b.add_inputs(10)
-        net = b.build(list(ws))  # identity
-        assert not verify_sorter_exhaustive_parallel(net, workers=2, batch_bits=8)
-
-    def test_single_worker_path(self):
-        net = build_mux_merger_sorter(8)
-        assert verify_sorter_exhaustive_parallel(net, workers=1)
-
-    def test_matches_serial_verifier(self):
-        from repro.analysis import verify_sorter_exhaustive
-
-        net = build_mux_merger_sorter(16)
-        assert verify_sorter_exhaustive_parallel(net, workers=2, batch_bits=8) \
-            == verify_sorter_exhaustive(net)
-
-    def test_validation(self):
-        net = build_mux_merger_sorter(8)
-        with pytest.raises(ValueError):
-            verify_sorter_exhaustive_parallel(net, workers=0)

@@ -34,7 +34,7 @@ workers) and chunks into *rounds* (the checkpoint unit).  A seeded
 draw runs each chunk in one of two modes:
 
 * ``batch`` — the whole chunk run on self-checking hardware
-  (:func:`repro.circuits.checkers.with_checkers`) by one
+  (:func:`repro.core.api.make_checked_sorter`) by one
   :func:`repro.runtime.run_checked` call with no retries; rows with
   alarms or failing the software gate (monotone + caller-held ones
   count) get the lower rungs and are recovered behaviorally;
@@ -120,40 +120,42 @@ def _hist_p99(hist) -> float:
 # Each process (pool workers and the parent's in-process re-run path)
 # builds hardware lazily from the payload alone: everything is keyed on
 # (network, width, fault_seed), so any process derives identical state.
+# Healthy hardware is the library's shared make_checked_sorter instance;
+# only the fault-rewritten variants are cached here.
 # ---------------------------------------------------------------------------
 
-_WCTX = {"checked": {}, "sups": {}}
+_WCTX = {"faulty": {}, "sups": {}}
 
 
 def _soak_worker_init(_arg) -> None:
-    _WCTX["checked"] = {}
+    _WCTX["faulty"] = {}
     _WCTX["sups"] = {}
 
 
 def _checked_hardware(network: str, n: int, fault_seed):
     """Self-checking (and, under a fault storm, deliberately broken)
-    hardware for width ``n`` — cached per process."""
-    key = (network, n, fault_seed)
-    hw = _WCTX["checked"].get(key)
-    if hw is not None:
-        return hw
-    from repro.chaos import realize_fault
-    from repro.circuits import apply_faults
-    from repro.circuits.checkers import with_checkers
-    from repro.core.api import make_sorter
+    hardware for width ``n``."""
+    from repro.core.api import make_checked_sorter
 
-    plain = make_sorter(n, network)
-    checked = with_checkers(plain, sortedness=True, count=True, control=True)
-    if fault_seed is not None:
+    checked = make_checked_sorter(n, network, control=True)
+    if fault_seed is None:
+        return checked
+    key = (network, n, fault_seed)
+    hw = _WCTX["faulty"].get(key)
+    if hw is None:
+        from repro.chaos import realize_fault
+        from repro.circuits import apply_faults
+        from repro.core.api import make_sorter
+
         # Enumerate on the plain netlist (the fault targets the sorter,
-        # not the checker logic); with_checkers keeps all wire ids
+        # not the checker logic); checked hardware keeps all wire ids
         # valid, so the same fault objects apply to the checked netlist.
-        faults = realize_fault(plain, fault_seed)
-        checked = dataclasses.replace(
+        faults = realize_fault(make_sorter(n, network), fault_seed)
+        hw = dataclasses.replace(
             checked, netlist=apply_faults(checked.netlist, faults)
         )
-    _WCTX["checked"][key] = checked
-    return checked
+        _WCTX["faulty"][key] = hw
+    return hw
 
 
 def _supervisor_for(network: str, fault_seed, deadline_s):
@@ -180,14 +182,6 @@ def _supervisor_for(network: str, fault_seed, deadline_s):
     return sup
 
 
-def _pad_rows(rows, width: int, npad: int) -> np.ndarray:
-    batch = np.stack(rows).astype(np.uint8)
-    if npad > width:
-        pad = np.ones((batch.shape[0], npad - width), dtype=np.uint8)
-        batch = np.concatenate([batch, pad], axis=1)
-    return batch
-
-
 def _soak_chunk(payload) -> dict:
     """Execute one chunk of requests; returns the chunk record.
 
@@ -196,7 +190,7 @@ def _soak_chunk(payload) -> dict:
     ground truth before digesting, the digest is a pure function of the
     input stream — the anchor of the soak's byte-for-byte determinism.
     """
-    from repro.core.api import next_power_of_two
+    from repro.core.api import pad_bits
     from repro.errors import ReproError
 
     (cell, chunk_index, mode, network, rows, fault_seed, deadline_s) = payload
@@ -215,10 +209,10 @@ def _soak_chunk(payload) -> dict:
         for pos, row in enumerate(rows):
             by_width.setdefault(row.size, []).append(pos)
         for width, positions in sorted(by_width.items()):
-            npad = next_power_of_two(max(width, 2))
-            batch = _pad_rows([rows[p] for p in positions], width, npad)
-            run = run_checked(_checked_hardware(network, npad, fault_seed),
-                              batch, RecoveryPolicy(max_retries=0))
+            batch = pad_bits(np.stack([rows[p] for p in positions]), network)
+            run = run_checked(
+                _checked_hardware(network, batch.shape[1], fault_seed),
+                batch, RecoveryPolicy(max_retries=0))
             # Ground-truth replay: an accepted wrong row is a silent
             # corruption the gate missed.
             wrong = (run.data != np.sort(batch, axis=1)).any(axis=1)
