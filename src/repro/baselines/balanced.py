@@ -19,22 +19,16 @@ from typing import List
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..core.balanced_merge import (
     balanced_merge_behavioral,
     balanced_merging_block,
 )
 
 
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
-
-
 def build_balanced_sorter(n: int) -> Netlist:
     """Periodic balanced sorter: ``lg n`` cascaded balanced merging blocks."""
-    lg_n = _lg(n)
+    lg_n = lg(n)
     b = CircuitBuilder(f"balanced-sorter-{n}")
     wires: List[int] = b.add_inputs(n)
     for _ in range(max(lg_n, 1) if n > 1 else 0):
@@ -44,7 +38,7 @@ def build_balanced_sorter(n: int) -> Netlist:
 
 def balanced_sorter_cost(n: int) -> int:
     """Closed-form cost ``(n/2) lg^2 n``."""
-    lg_n = _lg(n)
+    lg_n = lg(n)
     return (n // 2) * lg_n * lg_n
 
 
@@ -54,6 +48,6 @@ def balanced_sort_behavioral(bits) -> np.ndarray:
     n = out.size
     if n <= 1:
         return out
-    for _ in range(_lg(n)):
+    for _ in range(lg(n)):
         out = balanced_merge_behavioral(out)
     return out

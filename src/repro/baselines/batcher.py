@@ -21,15 +21,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 
 Stage = List[Tuple[int, int]]
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 # -- comparator schedules ------------------------------------------------------
@@ -37,7 +31,7 @@ def _lg(n: int) -> int:
 
 def odd_even_merge_schedule(n: int) -> List[Stage]:
     """Comparator stages of Batcher's n-input odd-even merge sorter."""
-    _lg(n)
+    lg(n)
 
     def sort(lo: int, m: int) -> List[Stage]:
         if m <= 1:
@@ -78,7 +72,7 @@ def bitonic_schedule(n: int) -> List[Stage]:
     ``i < j`` order with direction folded in.  We emit only ascending
     comparators by using the "bitonic merge on i & k" form.
     """
-    _lg(n)
+    lg(n)
     stages: List[Stage] = []
     k = 2
     while k <= n:
@@ -140,7 +134,7 @@ def build_bitonic_sorter(n: int) -> Netlist:
 
 def oem_comparator_count(n: int) -> int:
     """Exact comparator count of the odd-even merge sorter."""
-    p = _lg(n)
+    p = lg(n)
     if p == 0:
         return 0
     return (p * p - p + 4) * (1 << (p - 2)) - 1 if p >= 2 else 1
@@ -148,7 +142,7 @@ def oem_comparator_count(n: int) -> int:
 
 def bitonic_comparator_count(n: int) -> int:
     """Exact comparator count of the bitonic sorter."""
-    p = _lg(n)
+    p = lg(n)
     if p <= 1:
         return p  # 0 or 1 comparators
     return p * (p + 1) * (1 << (p - 2))
@@ -156,7 +150,7 @@ def bitonic_comparator_count(n: int) -> int:
 
 def batcher_depth(n: int) -> int:
     """Depth of either Batcher sorter: ``lg n (lg n + 1) / 2``."""
-    p = _lg(n)
+    p = lg(n)
     return p * (p + 1) // 2
 
 

@@ -19,7 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import BuildError
 from .elements import Element, ELEMENT_META
+
+
+def lg(n: int, minimum: int = 1) -> int:
+    """``log2 n`` for a power of two ``n >= minimum``; any other ``n``
+    raises :class:`~repro.errors.BuildError` (a ``ValueError``)."""
+    if n < minimum or n & (n - 1):
+        raise BuildError(f"expected a power of two >= {minimum}, got {n}")
+    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -30,18 +30,12 @@ import numpy as np
 
 from ..circuits.builder import CircuitBuilder
 from ..errors import BuildError, SimulationError
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate, simulate_payload
 from ..components.demux import group_demultiplexer
 from ..components.mux import group_multiplexer
 from .kway import KWayMuxMerger, PhaseCost
 from .mux_merger import build_mux_merger_sorter
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise BuildError(f"expected a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def fish_sort_behavioral(bits, k: Optional[int] = None) -> np.ndarray:
@@ -78,7 +72,7 @@ def fish_time_model(n: int, k: int, pipelined: bool = False) -> float:
 def default_k(n: int) -> int:
     """The paper's cost-minimizing choice ``k = lg n`` (rounded to a
     power of two so the k-way machinery stays power-of-two throughout)."""
-    lg_n = _lg(n)
+    lg_n = lg(n)
     k = 1 << max(1, (lg_n.bit_length() - 1))
     while k * 2 <= lg_n:
         k *= 2
@@ -121,7 +115,7 @@ class FishSorter:
                 f"k must be a power of two with 2 <= k <= n/2, got {k}"
             )
         self.group = n // k
-        self.lg_k = _lg(k)
+        self.lg_k = lg(k)
         self.group_sorter_kind = group_sorter
         if group_sorter == "mux_merger":
             self.group_sorter = build_mux_merger_sorter(self.group)

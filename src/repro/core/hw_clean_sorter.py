@@ -32,15 +32,10 @@ import numpy as np
 
 from ..circuits.builder import CircuitBuilder
 from ..circuits.fsm import SequentialCircuit
+from ..circuits.netlist import lg
 from ..components.demux import group_demultiplexer
 from ..components.mux import group_multiplexer
 from ..networks.carrying import carrying_sorter_lanes
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"expected a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 class HardwareCleanSorter:
@@ -51,7 +46,7 @@ class HardwareCleanSorter:
             raise ValueError(f"need power-of-two k >= 2 dividing s, got s={s} k={k}")
         self.s, self.k = s, k
         self.block = s // k
-        lg_k = self.lg_k = _lg(k)
+        lg_k = self.lg_k = lg(k)
 
         b = CircuitBuilder(f"hw-clean-sorter-{s}x{k}")
         # ---- state inputs: counter (LSB first), then output registers

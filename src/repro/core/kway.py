@@ -34,18 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate, simulate_payload
 from ..components.demux import group_demultiplexer
 from ..components.mux import group_multiplexer
 from ..components.swappers import two_way_swapper
 from .mux_merger import build_mux_merger, build_mux_merger_sorter
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"expected a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def _run(
@@ -101,7 +95,7 @@ class CleanSorter:
             raise ValueError(f"clean sorter needs k | s, got s={s} k={k}")
         self.s, self.k = s, k
         self.block = s // k
-        self.lg_k = _lg(k)
+        self.lg_k = lg(k)
         self.key_sorter = build_mux_merger_sorter(k)
         # (s, s/k)-multiplexer: selects one of k groups of s/k wires.
         b = CircuitBuilder(f"clean-mux-{s}")

@@ -39,16 +39,10 @@ from typing import List, Sequence
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..components.prefix_adder import popcount
 from ..components.swappers import two_way_swapper
 from .balanced_merge import balanced_comparator_stage, balanced_stage_behavioral
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def patchup_network(
@@ -62,7 +56,7 @@ def patchup_network(
     by Theorem 1 at every use site).
     """
     n = len(wires)
-    lg_n = _lg(n)
+    lg_n = lg(n)
     if len(count_bits) != lg_n + 1:
         raise ValueError(
             f"patch-up over {n} wires needs {lg_n + 1} count bits, "
@@ -94,7 +88,7 @@ def build_patchup_network(n: int, adder: str = "prefix") -> Netlist:
     the patch-up from the sorter's recursive adders instead (see
     :mod:`repro.core.prefix_sorter`).
     """
-    lg_n = _lg(n)
+    lg_n = lg(n)
     b = CircuitBuilder(f"patchup-{n}")
     wires = b.add_inputs(n)
     count = popcount(b, wires, adder=adder)

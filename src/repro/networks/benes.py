@@ -22,31 +22,25 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate_payload
-
-
-def _lg(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
 
 
 def benes_switch_count(n: int) -> int:
     """Exact switch count ``n lg n - n/2``."""
-    return n * _lg(n) - n // 2
+    return n * lg(n, minimum=2) - n // 2
 
 
 def benes_depth(n: int) -> int:
     """Exact depth ``2 lg n - 1``."""
-    return 2 * _lg(n) - 1
+    return 2 * lg(n, minimum=2) - 1
 
 
 class BenesNetwork:
     """An n-input Benes network with looping-algorithm routing."""
 
     def __init__(self, n: int) -> None:
-        _lg(n)
+        lg(n, minimum=2)
         self.n = n
         b = CircuitBuilder(f"benes-{n}")
         data = b.add_inputs(n)

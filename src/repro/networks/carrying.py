@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate
 from ..components.swappers import four_way_swapper
 from ..core.mux_merger import IN_SWAP_PERMS, OUT_SWAP_PERMS
@@ -40,12 +40,6 @@ from ..core.mux_merger import IN_SWAP_PERMS, OUT_SWAP_PERMS
 #: lanes[0] is the tag lane; lanes[1..] are bus bit lanes.  Each lane is
 #: a list of n wires (one per bundle position).
 Lanes = List[List[int]]
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"expected a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def bundle_comparator(
@@ -129,7 +123,7 @@ def build_carrying_sorter(n: int, bus_width: int) -> Netlist:
     Inputs are bundle-major: for each position, the tag wire then its
     ``bus_width`` bus wires.  Outputs in the same layout, sorted by tag.
     """
-    _lg(n)
+    lg(n)
     b = CircuitBuilder(f"carrying-sorter-{n}x{bus_width}")
     lanes: Lanes = [[] for _ in range(bus_width + 1)]
     for _ in range(n):
@@ -158,7 +152,7 @@ def build_self_routing_permuter(n: int, payload_width: int = 0) -> Netlist:
     Entirely self-routing: the only "control" anywhere is the data's own
     address bits — no looping algorithm, no external setup.
     """
-    lg_n = _lg(n)
+    lg_n = lg(n)
     if payload_width < 0:
         raise ValueError("payload_width must be >= 0")
     b = CircuitBuilder(f"self-routing-permuter-{n}")
@@ -206,7 +200,7 @@ def build_carrying_benes(n: int, payload_width: int) -> Netlist:
     """
     from .benes import benes_switch_count
 
-    _lg(n)
+    lg(n)
     if payload_width < 1:
         raise ValueError("payload_width must be >= 1")
     b = CircuitBuilder(f"carrying-benes-{n}x{payload_width}")
@@ -304,7 +298,7 @@ def build_carrying_concentrator(n: int, payload_width: int) -> Netlist:
     and a carrying sorter moves whole bundles; outputs per position are
     a *valid* wire (1 = this output received a request) and the payload.
     """
-    _lg(n)
+    lg(n)
     if payload_width < 1:
         raise ValueError("payload_width must be >= 1")
     b = CircuitBuilder(f"carrying-concentrator-{n}x{payload_width}")
@@ -376,7 +370,7 @@ class SelfRoutingPermuter:
     def permute(self, perm: Sequence[int], payloads=None) -> np.ndarray:
         """Route; returns per-output payload values (or addresses if
         ``payload_width`` is 0, as a self-check)."""
-        lg_n = _lg(self.n)
+        lg_n = lg(self.n)
         perm = list(perm)
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of range(n)")

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate_payload
 from ..core.fish_sorter import FishSorter
 from ..core.mux_merger import build_mux_merger_sorter
@@ -38,12 +38,6 @@ from ..core.prefix_sorter import build_prefix_sorter
 #: below it the recursion falls back to a combinational mux-merger
 #: distributor (the paper's asymptotic analysis is silent on base sizes).
 FISH_MIN_SIZE = 8
-
-
-def _lg(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class RadixPermuter:
     """Fig. 10's recursive permutation network over binary sorters."""
 
     def __init__(self, n: int, backend: str = "fish", pipelined: bool = True):
-        _lg(n)
+        lg(n)
         if n < 2:
             raise ValueError("permuter needs n >= 2")
         if backend not in ("fish", "mux_merger", "prefix"):

@@ -30,17 +30,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.builder import CircuitBuilder
-from ..circuits.netlist import Netlist
+from ..circuits.netlist import Netlist, lg
 from ..circuits.simulate import simulate
 from ..components.prefix_adder import add_counts, prefix_sum_scan
 from .benes import BenesNetwork
 from .permutation import RadixPermuter
-
-
-def _lg(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
 
 
 def _const_vector(b: CircuitBuilder, value: int, width: int) -> List[int]:
@@ -70,7 +64,7 @@ def build_rank_circuit(n: int) -> Netlist:
     Subtractions are two's-complement tricks (NOT + add constant), so
     the whole circuit is adders, muxes, and inverters.
     """
-    lg_n = _lg(n)
+    lg_n = lg(n, minimum=2)
     w = lg_n + 1  # counts range 0..n
     b = CircuitBuilder(f"rank-circuit-{n}")
     tags = b.add_inputs(n)
@@ -114,7 +108,7 @@ class RadixWordSorter:
     """Sorts ``n`` unsigned ``width``-bit words via stable binary splits."""
 
     def __init__(self, n: int, width: int, permuter: str = "benes") -> None:
-        _lg(n)
+        lg(n, minimum=2)
         if width < 1:
             raise ValueError("width must be >= 1")
         self.n, self.width = n, width

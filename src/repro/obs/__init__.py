@@ -5,7 +5,7 @@ rest of the package reports into:
 
 * a process-global **metrics registry** (:mod:`repro.obs.metrics`) —
   counters, gauges, histograms with labels; JSON and Prometheus-text
-  export;
+  export; every histogram quantile is within :data:`REL_ERR` (1%);
 * **span tracing** (:mod:`repro.obs.tracing`) — nestable
   :func:`trace_span` / :func:`trace_event` emitting JSON-lines records
   with monotonic timestamps into a ring buffer and/or a crash-safe
@@ -72,7 +72,7 @@ from .activity import (
     reset_activity,
     summarize_profile,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import REL_ERR, Counter, Gauge, Histogram, MetricsRegistry
 from .tracing import (
     FileSink,
     RingBufferSink,
@@ -91,6 +91,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "OBS",
+    "REL_ERR",
     "RingBufferSink",
     "TraceReadResult",
     "Tracer",

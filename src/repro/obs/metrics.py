@@ -11,6 +11,10 @@ export formats —
   format (``# HELP`` / ``# TYPE`` + one line per sample), so a scrape
   endpoint or a textfile collector can ingest the same numbers.
 
+Every :class:`Histogram` shares one log-bucketed scheme, so its
+quantiles are within :data:`REL_ERR` of the exact ones and histograms
+from any two registries merge bucket for bucket.
+
 Every mutation takes the registry lock; instruments are cheap enough
 that the instrumented hot paths (one counter bump per *fused step*, not
 per element) stay far below the noise floor — see
@@ -30,19 +34,22 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "REL_ERR",
 ]
 
-#: Default histogram buckets: exponential from 100 µs to ~100 s, the
-#: range spanned by a fused-step kernel up to a whole campaign item.
-DEFAULT_BUCKETS = tuple(1e-4 * (4.0 ** i) for i in range(11))
+#: Relative error of every :meth:`Histogram.quantile` (1%).  It fixes
+#: the one bucket scheme all histograms share.
+REL_ERR = 0.01
+
+_GAMMA = (1.0 + REL_ERR) / (1.0 - REL_ERR)
+_LOG_GAMMA = math.log(_GAMMA)
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -107,23 +114,23 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics).
+    """Log-bucketed histogram whose quantiles carry a relative error bound.
 
-    ``buckets`` are upper bounds; an implicit ``+Inf`` bucket is always
-    present.  ``observe`` adds to every bucket whose bound is >= the
-    value (cumulative counts, like the exposition format expects).
+    Bucket ``i`` holds the values in ``(γ^(i-1), γ^i]``, with
+    ``γ = (1 + REL_ERR) / (1 - REL_ERR)``; one extra bucket holds values
+    <= 0.  Only occupied buckets are stored, so the scheme needs no
+    range or bucket list from the caller.  ``observe`` is O(1);
+    :meth:`quantile` answers within :data:`REL_ERR` of the exact order
+    statistic, and two histograms merge by adding counts per bucket
+    index (the DDSketch construction: Masson, Rim & Lee, VLDB 2019).
     """
 
     kind = "histogram"
 
-    def __init__(self, name, pairs, lock,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
+    def __init__(self, name, pairs, lock):
         super().__init__(name, pairs, lock)
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        self.bucket_counts: List[int] = [0] * (len(bounds) + 1)  # + +Inf
+        self.counts: Dict[int, int] = {}  #: bucket index -> count
+        self.zero_count = 0  #: values <= 0
         self.count = 0
         self.sum = 0.0
 
@@ -132,21 +139,42 @@ class Histogram(_Instrument):
         with self._lock:
             self.count += 1
             self.sum += value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    break
+            if value > 0.0:
+                i = math.ceil(math.log(value) / _LOG_GAMMA)
+                self.counts[i] = self.counts.get(i, 0) + 1
             else:
-                self.bucket_counts[-1] += 1
+                self.zero_count += 1
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile, within :data:`REL_ERR` of the order
+        statistic of rank ``floor(q * (count - 1))`` (numpy's
+        ``method="lower"``): bucket ``i`` reports ``2γ^i / (γ + 1)``,
+        values <= 0 report 0.  An empty histogram reports 0."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile needs 0 <= q <= 1, got {q}")
+        with self._lock:
+            rank = math.floor(q * (self.count - 1))
+            seen = self.zero_count
+            if rank < seen:
+                return 0.0
+            for i in sorted(self.counts):
+                seen += self.counts[i]
+                if rank < seen:
+                    return 2.0 * _GAMMA ** i / (_GAMMA + 1.0)
+        return 0.0
 
     def cumulative(self) -> List[Tuple[float, int]]:
-        """``[(upper_bound, cumulative_count), ...]`` ending at +Inf."""
-        out, running = [], 0
+        """``[(upper_bound, cumulative_count), ...]`` over the occupied
+        buckets (``0.0`` for the <= 0 bucket, ``γ^i`` for bucket ``i``),
+        ending at ``+Inf``."""
         with self._lock:
-            for bound, c in zip(self.bounds, self.bucket_counts):
-                running += c
-                out.append((bound, running))
-            out.append((math.inf, running + self.bucket_counts[-1]))
+            out, running = [], self.zero_count
+            if running:
+                out.append((0.0, running))
+            for i in sorted(self.counts):
+                running += self.counts[i]
+                out.append((_GAMMA ** i, running))
+            out.append((math.inf, self.count))
         return out
 
 
@@ -167,8 +195,8 @@ class MetricsRegistry:
 
     # -- get-or-create --------------------------------------------------------
 
-    def _get(self, cls, name: str, help: str, labels: Dict[str, object],
-             **kwargs) -> _Instrument:
+    def _get(self, cls, name: str, help: str,
+             labels: Dict[str, object]) -> _Instrument:
         pairs = _label_pairs(labels)
         key = (name, pairs)
         with self._lock:
@@ -179,7 +207,7 @@ class MetricsRegistry:
                 )
             inst = self._metrics.get(key)
             if inst is None:
-                inst = cls(name, pairs, self._lock, **kwargs)
+                inst = cls(name, pairs, self._lock)
                 self._metrics[key] = inst
                 self._kinds[name] = cls.kind
                 if help:
@@ -192,11 +220,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         return self._get(Gauge, name, help, labels)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Sequence[float]] = None,
-                  **labels) -> Histogram:
-        kwargs = {} if buckets is None else {"buckets": buckets}
-        return self._get(Histogram, name, help, labels, **kwargs)
+    def histogram(self, name: str, help: str = "", **labels) -> Histogram:
+        return self._get(Histogram, name, help, labels)
 
     # -- introspection --------------------------------------------------------
 
@@ -234,10 +259,12 @@ class MetricsRegistry:
                 "help": self._help.get(name, ""),
             }
             if isinstance(inst, Histogram):
-                entry["bounds"] = list(inst.bounds)
-                entry["bucket_counts"] = list(inst.bucket_counts)
-                entry["count"] = inst.count
-                entry["sum"] = inst.sum
+                with self._lock:
+                    entry["zero_count"] = inst.zero_count
+                    entry["buckets"] = [[i, c] for i, c
+                                        in sorted(inst.counts.items())]
+                    entry["count"] = inst.count
+                    entry["sum"] = inst.sum
             else:
                 entry["value"] = inst.value
             out.append(entry)
@@ -246,10 +273,8 @@ class MetricsRegistry:
     def merge_state(self, state: Iterable[Dict[str, object]]) -> None:
         """Fold a :meth:`dump_state` payload from another process in.
 
-        Counter values and histogram bucket counts are added; gauges are
-        overwritten.  A histogram whose bucket bounds disagree with the
-        local instrument's raises ``ValueError`` (merging incompatible
-        buckets would corrupt both).
+        Counter values and histogram bucket counts (by bucket index)
+        are added; gauges are overwritten.
         """
         for entry in state:
             name = str(entry["name"])
@@ -265,20 +290,12 @@ class MetricsRegistry:
                     float(entry.get("value", 0.0))
                 )
             elif kind == "histogram":
-                bounds = tuple(float(b) for b in entry.get("bounds", ()))
-                hist = self.histogram(
-                    name, help_text, buckets=bounds or None, **labels
-                )
-                if hist.bounds != (bounds or hist.bounds):
-                    raise ValueError(
-                        f"histogram {name!r}: incompatible bucket bounds "
-                        f"{bounds} vs {hist.bounds}"
-                    )
-                counts = [int(c) for c in entry.get("bucket_counts", ())]
+                hist = self.histogram(name, help_text, **labels)
                 with self._lock:
-                    if len(counts) == len(hist.bucket_counts):
-                        for i, c in enumerate(counts):
-                            hist.bucket_counts[i] += c
+                    hist.zero_count += int(entry.get("zero_count", 0))
+                    for i, c in entry.get("buckets", ()):
+                        i = int(i)
+                        hist.counts[i] = hist.counts.get(i, 0) + int(c)
                     hist.count += int(entry.get("count", 0))
                     hist.sum += float(entry.get("sum", 0.0))
             else:

@@ -66,13 +66,6 @@ __all__ = ["ItemOutcome", "run_items", "split_outcomes"]
 #: the parent declares a worker hung and SIGKILLs it.
 DEFAULT_HANG_GRACE_S = 5.0
 
-#: Environment override for the parent-side hang-watch hard budget in
-#: seconds.  Applies even when no per-item ``timeout_s`` is set (where
-#: the computed budget would otherwise be disabled), so long soaks can
-#: bound a stalled worker without imposing per-item deadlines.  An
-#: explicit ``run_items(..., hang_budget_s=...)`` wins over the env.
-ENV_HANG_BUDGET = "REPRO_PARALLEL_HANG_BUDGET"
-
 #: Safety factor applied to the nominal per-item budget when computing
 #: the parent-side hard kill deadline (the in-worker guard should fire
 #: long before this; the hard deadline only catches guards defeated by
@@ -257,52 +250,22 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 
 
-def _pick_context(mp_context):
-    if mp_context is not None:
-        return mp.get_context(mp_context) if isinstance(mp_context, str) else mp_context
-    # fork keeps task callables out of pickle (tools load as scripts)
-    # and inherits warm imports; spawn is the portable fallback.
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return mp.get_context("spawn")
-
-
-def _hard_budget(timeout_s: Optional[float], retries: int,
-                 backoff_s: float, hang_grace_s: float) -> Optional[float]:
-    """Parent-side SIGKILL deadline per item (None = no hang watch)."""
-    if not timeout_s or timeout_s <= 0:
-        return None
-    nominal = timeout_s * (retries + 1) + backoff_s * (2 ** max(retries, 0))
-    return nominal * HARD_BUDGET_FACTOR + hang_grace_s
-
-
 def _resolve_hang_budget(
     hang_budget_s: Optional[float],
     timeout_s: Optional[float],
     retries: int,
     backoff_s: float,
-    hang_grace_s: float,
 ) -> Optional[float]:
-    """Effective hang-watch budget: explicit kwarg > env var > computed.
-
-    An explicit or env value <= 0 disables the hang watch outright; an
-    unparseable env value is ignored (announced via a trace event) and
-    the computed budget applies.
-    """
+    """Parent-side SIGKILL deadline per item (None = no hang watch): the
+    explicit ``hang_budget_s`` (<= 0 disables the watch), else the
+    worst-case guarded budget times :data:`HARD_BUDGET_FACTOR` plus
+    :data:`DEFAULT_HANG_GRACE_S` (no watch without a ``timeout_s``)."""
     if hang_budget_s is not None:
         return float(hang_budget_s) if hang_budget_s > 0 else None
-    raw = os.environ.get(ENV_HANG_BUDGET)
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            import repro.obs as obs
-
-            obs.trace_event("parallel.bad_hang_budget", value=raw)
-        else:
-            return value if value > 0 else None
-    return _hard_budget(timeout_s, retries, backoff_s, hang_grace_s)
+    if not timeout_s or timeout_s <= 0:
+        return None
+    nominal = timeout_s * (retries + 1) + backoff_s * (2 ** max(retries, 0))
+    return nominal * HARD_BUDGET_FACTOR + DEFAULT_HANG_GRACE_S
 
 
 class _Worker:
@@ -330,9 +293,7 @@ def run_items(
     backoff_s: float = 0.05,
     span: Optional[str] = None,
     on_outcome: Optional[Callable[[ItemOutcome], None]] = None,
-    hang_grace_s: float = DEFAULT_HANG_GRACE_S,
     hang_budget_s: Optional[float] = None,
-    mp_context=None,
 ) -> List[ItemOutcome]:
     """Run ``task(payload)`` for every ``(item_id, payload)`` item.
 
@@ -356,11 +317,10 @@ def run_items(
     item it held is quarantined and a replacement worker is spawned if
     undispatched work remains.  A worker whose item overruns the
     enforceable budget by :data:`HARD_BUDGET_FACTOR` plus
-    ``hang_grace_s`` is SIGKILLed and handled the same way (this only
-    triggers when the in-worker SIGALRM guard was itself defeated, e.g.
-    by signal-blocking C code).  ``hang_budget_s`` (or the
-    :data:`ENV_HANG_BUDGET` environment variable) overrides that
-    computed budget with an absolute per-item wall-clock cap — it
+    :data:`DEFAULT_HANG_GRACE_S` is SIGKILLed and handled the same way
+    (this only triggers when the in-worker SIGALRM guard was itself
+    defeated, e.g. by signal-blocking C code).  ``hang_budget_s``
+    overrides that computed budget with an absolute per-item wall-clock cap — it
     applies even with no ``timeout_s``, which is how long soak runs
     bound a stalled pool; a stall emits a ``parallel.stalled`` trace
     event carrying every worker's in-flight item before the kill, so
@@ -389,21 +349,26 @@ def run_items(
     return _run_pool(
         items, task, min(int(jobs), len(items)),
         worker_init, init_arg, timeout_s, retries, backoff_s, span,
-        on_outcome, hang_grace_s, hang_budget_s, mp_context,
+        on_outcome, hang_budget_s,
     )
 
 
 def _run_pool(
     items, task, jobs, worker_init, init_arg, timeout_s, retries,
-    backoff_s, span, on_outcome, hang_grace_s, hang_budget_s, mp_context,
+    backoff_s, span, on_outcome, hang_budget_s,
 ) -> List[ItemOutcome]:
     import repro.obs as obs
 
-    ctx = _pick_context(mp_context)
+    # fork keeps task callables out of pickle (tools load as scripts)
+    # and inherits warm imports; spawn is the portable fallback.
+    try:
+        ctx = mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        ctx = mp.get_context("spawn")
     guard = (timeout_s, retries, backoff_s, span)
     obs_cfg = _parent_obs_config()
     hard_budget = _resolve_hang_budget(
-        hang_budget_s, timeout_s, retries, backoff_s, hang_grace_s
+        hang_budget_s, timeout_s, retries, backoff_s
     )
 
     def spawn() -> _Worker:

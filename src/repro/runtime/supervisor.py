@@ -64,9 +64,8 @@ class SupervisorStats:
     deadline_hits: int = 0
     alarms: Dict[str, int] = field(default_factory=dict)
     tier_used: Dict[str, int] = field(default_factory=dict)
-    latencies_s: List[float] = field(default_factory=list)
-
-    _LATENCY_WINDOW = 1024
+    latency: obs.Histogram = field(
+        default_factory=lambda: obs.MetricsRegistry().histogram("latency_s"))
 
     def record(self, report: CallReport) -> None:
         self.calls += 1
@@ -79,12 +78,12 @@ class SupervisorStats:
         for name in report.detections:
             self.alarms[name] = self.alarms.get(name, 0) + 1
         self.tier_used[report.tier] = self.tier_used.get(report.tier, 0) + 1
-        self.latencies_s.append(report.latency_s)
-        if len(self.latencies_s) > self._LATENCY_WINDOW:
-            del self.latencies_s[: -self._LATENCY_WINDOW]
+        self.latency.observe(report.latency_s)
 
     def snapshot(self) -> Dict[str, object]:
-        lat = self.latencies_s
+        """Counters plus latency over every call: ``mean_latency_s`` is
+        exact, ``max_latency_s`` is within ``rel_err``."""
+        lat = self.latency
         return {
             "calls": self.calls,
             "detected_calls": self.detected_calls,
@@ -93,8 +92,9 @@ class SupervisorStats:
             "deadline_hits": self.deadline_hits,
             "alarms": dict(self.alarms),
             "tier_used": dict(self.tier_used),
-            "mean_latency_s": float(np.mean(lat)) if lat else 0.0,
-            "max_latency_s": float(np.max(lat)) if lat else 0.0,
+            "mean_latency_s": lat.sum / lat.count if lat.count else 0.0,
+            "max_latency_s": lat.quantile(1.0),
+            "rel_err": obs.REL_ERR,
         }
 
 

@@ -1,9 +1,9 @@
 """Batch coalescer: turn a request trickle into engine-sized batches.
 
-The compiled engine's bit-packed path switches on at 64 lanes
-(``PACKED_MIN_BATCH``) and its per-pass fixed costs amortize over the
-whole batch, so coalescing same-width lanes into one pass is free
-throughput.  The coalescer keeps one bucket per padded width and
+A healthy batch is one pass of the JIT kernel, which packs one lane
+per bit, so a pass's fixed costs amortize over the whole batch and
+coalescing same-width lanes into one pass is free throughput.  The
+coalescer keeps one bucket per padded width and
 flushes a bucket when either
 
 * it reaches ``max_lanes`` (a full batch — flush immediately), or

@@ -73,13 +73,6 @@ class FabricExecutor:
         return pad_bits(np.empty((0, int(n)), dtype=np.uint8),
                         self.network).shape[1]
 
-    def warm(self, widths) -> None:
-        """Pre-build (and pre-compile) the fabric for the given widths so
-        the first request doesn't pay netlist construction."""
-        for w in widths:
-            probe = pad_bits(np.zeros((1, int(w)), dtype=np.uint8), self.network)
-            run_checked(self.checked(probe.shape[1]), probe, _POLICY)  # compile now
-
     # -- execution ------------------------------------------------------------
 
     def run_batch(self, width: int, rows: np.ndarray) -> BatchOutcome:

@@ -46,19 +46,14 @@ from .protocol import KINDS, ServeRequest, ServeResponse, lanes_for
 
 __all__ = ["ServeConfig", "SortingService", "serve_requests"]
 
-#: Histogram buckets for batch fill (fractions of ``max_lanes``).
-_FILL_BUCKETS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-
-#: Histogram buckets for request latency (100 µs .. ~6.5 s).
-_LATENCY_BUCKETS = tuple(1e-4 * (2.0 ** i) for i in range(17))
-
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Service knobs (environment mapping in docs/SERVING.md).
 
-    ``max_lanes`` is the batch size the coalescer aims for — keep it at
-    or above 64 so flushes ride the engine's bit-packed path.
+    ``max_lanes`` is the batch size the coalescer aims for: a healthy
+    batch is one pass of the JIT kernel, which packs one lane per bit,
+    so larger batches amortize the pass's fixed cost.
     ``credits`` bounds queued + in-flight lanes; with a mean batch
     service time *s* the worst-case queueing delay is roughly
     ``credits / max_lanes * s``, which is the lever for tuning a p99
@@ -359,7 +354,6 @@ class SortingService:
             else:
                 reg.histogram("repro_serve_request_latency_seconds",
                               "End-to-end request latency",
-                              buckets=_LATENCY_BUCKETS,
                               kind=response.kind).observe(response.total_s)
             reg.gauge("repro_serve_queue_depth",
                       "Lanes queued in the coalescer").set(self.coalescer.depth)
@@ -371,12 +365,9 @@ class SortingService:
         reg = obs.OBS.registry
         reg.histogram("repro_serve_batch_fill",
                       "Flushed batch fill fraction (lanes / max_lanes)",
-                      buckets=_FILL_BUCKETS,
                       reason=batch.reason).observe(batch.fill)
         reg.histogram("repro_serve_batch_lanes",
-                      "Lanes per executed batch",
-                      buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
-                      ).observe(len(batch))
+                      "Lanes per executed batch").observe(len(batch))
         obs.trace_event("serve.batch", width=batch.width, lanes=len(batch),
                         reason=batch.reason, tier=outcome.tier,
                         recovered=outcome.recovered, wall_s=outcome.wall_s)

@@ -14,9 +14,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import REL_ERR, MetricsRegistry
 from repro.obs.tracing import FileSink, RingBufferSink, Tracer, read_trace
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -68,44 +70,53 @@ class TestMetrics:
 
     def test_histogram_bucketing(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_seconds", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
+        h = reg.histogram("lat_seconds")
+        for v in (0.05, 0.5, 0.5, 5.0, 50.0, 0.0):
             h.observe(v)
-        cum = dict(h.cumulative())
-        assert cum[0.1] == 1          # 0.05
-        assert cum[1.0] == 3          # + the two 0.5s
-        assert cum[10.0] == 4         # + 5.0
-        assert cum[float("inf")] == 5  # everything
-        assert h.count == 5
+        cum = h.cumulative()
+        bounds = [b for b, _ in cum]
+        assert bounds == sorted(bounds) and bounds[-1] == float("inf")
+        assert cum[0] == (0.0, 1)  # the <= 0 bucket
+        # each value sits in (bound / gamma, bound] of its own bucket
+        gamma = (1 + REL_ERR) / (1 - REL_ERR)
+        counts = dict(zip(bounds, np.diff([0] + [c for _, c in cum])))
+        for v, n in ((0.05, 1), (0.5, 2), (5.0, 1), (50.0, 1)):
+            (bound,) = [b for b in bounds[1:-1] if b / gamma < v <= b]
+            assert counts[bound] == n
+        assert cum[-1] == (float("inf"), 6)
+        assert h.count == 6
         assert h.sum == pytest.approx(56.05)
 
     def test_histogram_default_buckets_cover_engine_times(self):
-        # default buckets span 100us .. ~100s: engine executions (ms) and
-        # supervised sorts (tens of ms) both land mid-range, not in +Inf
-        assert DEFAULT_BUCKETS[0] == pytest.approx(1e-4)
-        assert DEFAULT_BUCKETS[-1] > 10.0
+        # no bucket list to choose: engine executions (ms) and supervised
+        # sorts (tens of ms) land in finite buckets and come back within
+        # REL_ERR, never clamped to a range edge or +Inf
         h = MetricsRegistry().histogram("t")
-        h.observe(0.003)
-        cum = dict(h.cumulative())
-        inner = sum(1 for b, c in cum.items()
-                    if c == 1 and b != float("inf"))
-        assert inner >= 1
+        for v in (0.003, 0.03, 1e-7, 1e3):
+            h.observe(v)
+        assert [c for b, c in h.cumulative() if b != float("inf")] == [1, 2, 3, 4]
+        assert h.quantile(0.0) == pytest.approx(1e-7, rel=REL_ERR)
+        assert h.quantile(1.0) == pytest.approx(1e3, rel=REL_ERR)
+        assert MetricsRegistry().histogram("empty").quantile(0.99) == 0.0
+        with pytest.raises(ValueError):
+            h.quantile(1.5)
 
     def test_prometheus_golden(self):
         reg = MetricsRegistry()
         reg.counter("repro_runs_total", "Total runs.", network="prefix").inc(2)
         reg.gauge("repro_depth", "Depth.").set(7)
-        h = reg.histogram("repro_lat_seconds", "Latency.", buckets=(0.5, 2.0))
+        h = reg.histogram("repro_lat_seconds", "Latency.")
         h.observe(0.1)
         h.observe(1.0)
+        gamma = (1 + REL_ERR) / (1 - REL_ERR)
         expected = "\n".join([
             '# HELP repro_depth Depth.',
             '# TYPE repro_depth gauge',
             'repro_depth 7.0',
             '# HELP repro_lat_seconds Latency.',
             '# TYPE repro_lat_seconds histogram',
-            'repro_lat_seconds_bucket{le="0.5"} 1',
-            'repro_lat_seconds_bucket{le="2.0"} 2',
+            f'repro_lat_seconds_bucket{{le="{gamma ** -115!r}"}} 1',
+            f'repro_lat_seconds_bucket{{le="{gamma ** 0!r}"}} 2',
             'repro_lat_seconds_bucket{le="+Inf"} 2',
             'repro_lat_seconds_sum 1.1',
             'repro_lat_seconds_count 2',
@@ -119,16 +130,18 @@ class TestMetrics:
     def test_json_roundtrip(self):
         reg = MetricsRegistry()
         reg.counter("a_total", x="1").inc()
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        reg.histogram("h").observe(0.5)
         snap = json.loads(reg.to_json())
         assert snap['a_total{x="1"}'] == {"type": "counter", "value": 1.0}
         assert snap["h"]["type"] == "histogram"
         assert snap["h"]["count"] == 1
+        assert [c for _, c in snap["h"]["buckets"]] == [1, 1]
+        assert snap["h"]["buckets"][-1][0] == "+Inf"
 
     def test_thread_safety_smoke(self):
         reg = MetricsRegistry()
         c = reg.counter("n_total")
-        h = reg.histogram("h", buckets=(0.5,))
+        h = reg.histogram("h")
         workers, per = 8, 2000
 
         def work():
@@ -144,7 +157,61 @@ class TestMetrics:
             t.join()
         assert c.value == workers * per
         assert h.count == workers * per
-        assert dict(h.cumulative())[0.5] == workers * per // 2
+        assert h.cumulative()[0] == (0.0, workers * per // 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-7, 1e3), min_size=1, max_size=200),
+           st.integers(0, 3))
+    def test_quantile_within_rel_err(self, values, repeat):
+        # repeats put several samples in one bucket and at equal ranks
+        x = np.array(values * (repeat + 1))
+        h = MetricsRegistry().histogram("q")
+        for v in x:
+            h.observe(v)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            exact = np.quantile(x, q, method="lower")
+            assert abs(h.quantile(q) - exact) <= REL_ERR * exact * (1 + 1e-9)
+
+    def test_merged_dumps_equal_one_registry(self):
+        rng = np.random.default_rng(7)
+        samples = rng.lognormal(-7, 2, 3000)
+        samples[::50] = 0.0
+        a, b, whole = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for i, v in enumerate(samples):
+            (a if i % 3 else b).histogram("lat", "L.", cell="x").observe(v)
+            whole.histogram("lat", "L.", cell="x").observe(v)
+        merged = MetricsRegistry()
+        merged.merge_state(a.dump_state())
+        merged.merge_state(json.loads(json.dumps(b.dump_state())))
+        got, want = merged.dump_state(), whole.dump_state()
+        assert got[0]["buckets"] == want[0]["buckets"]
+        assert got[0]["zero_count"] == want[0]["zero_count"] == 60
+        assert got[0]["count"] == want[0]["count"] == 3000
+        assert got[0]["sum"] == pytest.approx(want[0]["sum"])
+        hist = merged.histogram("lat", cell="x")
+        for q in (0.5, 0.99):
+            assert hist.quantile(q) == whole.histogram("lat", cell="x").quantile(q)
+
+    def test_exposition_buckets_monotone_and_inf_is_count(self):
+        reg = MetricsRegistry()
+        rng = np.random.default_rng(3)
+        for kind in ("sort", "route"):
+            h = reg.histogram("repro_lat_seconds", "L.", kind=kind)
+            for v in rng.exponential(2e-3, 500):
+                h.observe(v)
+        text = reg.to_prometheus()
+        for kind in ("sort", "route"):
+            lines = [ln for ln in text.splitlines()
+                     if ln.startswith("repro_lat_seconds_bucket{")
+                     and f'kind="{kind}"' in ln]
+            les = [ln.split('le="')[1].split('"')[0] for ln in lines]
+            counts = [int(ln.rsplit(" ", 1)[1]) for ln in lines]
+            assert les[-1] == "+Inf"
+            assert [float(le) for le in les[:-1]] == sorted(map(float, les[:-1]))
+            assert counts == sorted(counts)
+            count = [ln for ln in text.splitlines()
+                     if ln.startswith(f'repro_lat_seconds_count{{kind="{kind}"}}')]
+            assert counts[-1] == int(count[0].rsplit(" ", 1)[1]) == 500
 
     def test_reset(self):
         reg = MetricsRegistry()

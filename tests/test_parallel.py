@@ -295,20 +295,19 @@ class TestForkAwareObs:
         a.counter("jobs_total").inc(2)
         b.counter("jobs_total").inc(3)
         b.gauge("depth").set(7)
-        a.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
-        b.histogram("lat", buckets=(0.1, 1.0)).observe(5.0)
+        a.histogram("lat").observe(0.05)
+        b.histogram("lat").observe(5.0)
 
         a.merge_state(b.dump_state())
         state = {(e["name"]): e for e in a.dump_state()}
         assert state["jobs_total"]["value"] == 5.0
         assert state["depth"]["value"] == 7.0
         assert state["lat"]["count"] == 2
-        assert state["lat"]["bucket_counts"] == [1, 0, 1]
-
-        mismatched = MetricsRegistry()
-        mismatched.histogram("lat", buckets=(0.5,)).observe(1.0)
-        with pytest.raises(ValueError):
-            a.merge_state(mismatched.dump_state())
+        # one bucket scheme everywhere: the merge adds counts by index
+        both = MetricsRegistry().histogram("lat")
+        both.observe(0.05)
+        both.observe(5.0)
+        assert state["lat"]["buckets"] == [[i, 1] for i in sorted(both.counts)]
 
 
 SWEEP_ARGS = ["--min-lg", "4", "--max-lg", "5", "--item-timeout", "120"]
@@ -424,46 +423,21 @@ def _nap_if_stuck(x):
 
 
 class TestHangBudget:
-    """The configurable parent-side hang watch: explicit kwarg > env var
-    > computed worst-case budget, plus the ``parallel.stalled`` trace
-    event that records per-worker in-flight state before the kill."""
+    """The parent-side hang watch: explicit kwarg > computed worst-case
+    budget, plus the ``parallel.stalled`` trace event that records
+    per-worker in-flight state before the kill."""
 
-    def test_resolution_order(self, monkeypatch):
-        from repro.parallel.executor import ENV_HANG_BUDGET, _resolve_hang_budget
+    def test_resolution_order(self):
+        from repro.parallel.executor import _resolve_hang_budget
 
-        monkeypatch.delenv(ENV_HANG_BUDGET, raising=False)
         # computed: no timeout -> no watch; with timeout -> factor + grace
-        assert _resolve_hang_budget(None, None, 0, 0.0, 5.0) is None
-        computed = _resolve_hang_budget(None, 1.0, 0, 0.0, 5.0)
+        assert _resolve_hang_budget(None, None, 0, 0.0) is None
+        computed = _resolve_hang_budget(None, 1.0, 0, 0.0)
         assert computed is not None and computed > 5.0
-        # env overrides computed
-        monkeypatch.setenv(ENV_HANG_BUDGET, "42.5")
-        assert _resolve_hang_budget(None, 1.0, 0, 0.0, 5.0) == 42.5
-        assert _resolve_hang_budget(None, None, 0, 0.0, 5.0) == 42.5
-        # env <= 0 disables outright
-        monkeypatch.setenv(ENV_HANG_BUDGET, "0")
-        assert _resolve_hang_budget(None, 1.0, 0, 0.0, 5.0) is None
-        # explicit kwarg beats the env either way
-        monkeypatch.setenv(ENV_HANG_BUDGET, "42.5")
-        assert _resolve_hang_budget(7.0, 1.0, 0, 0.0, 5.0) == 7.0
-        assert _resolve_hang_budget(-1.0, 1.0, 0, 0.0, 5.0) is None
-
-    def test_bad_env_value_falls_back_and_announces(self, monkeypatch, tmp_path):
-        from repro.parallel.executor import ENV_HANG_BUDGET, _resolve_hang_budget
-
-        trace = tmp_path / "trace.jsonl"
-        obs.reset()
-        obs.enable(trace_path=str(trace))
-        try:
-            monkeypatch.setenv(ENV_HANG_BUDGET, "not-a-number")
-            computed = _resolve_hang_budget(None, 1.0, 0, 0.0, 5.0)
-            assert computed == _resolve_hang_budget(None, 1.0, 0, 0.0, 5.0)
-            assert computed is not None
-        finally:
-            obs.reset()
-        events = [e for e in read_trace(trace).events
-                  if e.get("name") == "parallel.bad_hang_budget"]
-        assert events and events[0]["attrs"]["value"] == "not-a-number"
+        # explicit kwarg beats the computed budget; <= 0 disables
+        assert _resolve_hang_budget(7.0, 1.0, 0, 0.0) == 7.0
+        assert _resolve_hang_budget(7.0, None, 0, 0.0) == 7.0
+        assert _resolve_hang_budget(-1.0, 1.0, 0, 0.0) is None
 
     def test_kwarg_budget_kills_hung_worker_and_traces(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -493,15 +467,3 @@ class TestHangBudget:
         assert "stuck" in flight  # the fast item may already be done
         assert flight["stuck"]["pid"] == attrs["stalled_pid"]
         assert flight["stuck"]["elapsed_s"] >= 1.0
-
-    def test_env_budget_applies_via_run_items(self, monkeypatch):
-        from repro.parallel.executor import ENV_HANG_BUDGET
-
-        monkeypatch.setenv(ENV_HANG_BUDGET, "1.0")
-        t0 = time.perf_counter()
-        outcomes = run_items([("stuck", "nap"), ("ok", 2)],
-                             _nap_if_stuck, jobs=2)
-        assert time.perf_counter() - t0 < 20.0
-        assert not outcomes[0].ok
-        assert "hung past hard budget" in outcomes[0].error
-        assert outcomes[1].ok and outcomes[1].value == 2

@@ -26,8 +26,9 @@ accepted-but-wrong answer fails the run.  Per-cell records go to
 ``--out`` in the engine-benchmark schema gated by
 ``tools/compare_sweeps.py``: ``speedup`` is batched/naive throughput
 with an absolute ``floor`` (default 2.0 — the packed path's batching
-dividend), plus latency percentiles (p50/p90/p99), mean batch fill,
-and shed counts.
+dividend), plus latency percentiles (p50/p90/p99, each within
+``rel_err`` of the exact order statistic), mean batch fill, and shed
+counts.
 
 ``--overload`` adds a seeded overload cell: a burst far beyond the
 credit pool against a deliberately small gate, with *no* client
@@ -43,8 +44,6 @@ Exit status: 0 on success, 1 on any correctness/SLO/efficacy failure,
 
 import argparse
 import asyncio
-import json
-import math
 import os
 import pathlib
 import sys
@@ -59,12 +58,6 @@ import numpy as np
 
 DEFAULT_WORKLOADS = "uniform,poisson,zipf"
 SHED_RETRY_LIMIT = 200
-
-
-def _percentile_ms(latencies, q):
-    if not latencies:
-        return 0.0
-    return float(np.percentile(np.asarray(latencies), q) * 1e3)
 
 
 def build_requests(workload_name, n, count, rate, seed, mix):
@@ -151,6 +144,7 @@ async def drive(requests, arrivals, config, window, paced, retry_sheds):
 
 def run_cell(args, workload_name, mix):
     """Measure one workload cell in batched and naive modes."""
+    from repro.obs import REL_ERR, MetricsRegistry
     from repro.serve import ServeConfig
 
     requests, arrivals = build_requests(
@@ -177,15 +171,17 @@ def run_cell(args, workload_name, mix):
             not replay(req, resp)
             for req, resp in zip(requests, responses) if resp.ok
         )
-        latencies = [r.total_s for r in ok]
+        latency = MetricsRegistry().histogram("latency_s")
+        for r in ok:
+            latency.observe(r.total_s)
         results[mode] = {
             "throughput_rps": len(ok) / wall_s if wall_s else 0.0,
             "completed": len(ok),
             "sheds": sheds,
             "wrong": wrong,
-            "p50_ms": _percentile_ms(latencies, 50),
-            "p90_ms": _percentile_ms(latencies, 90),
-            "p99_ms": _percentile_ms(latencies, 99),
+            "p50_ms": latency.quantile(0.5) * 1e3,
+            "p90_ms": latency.quantile(0.9) * 1e3,
+            "p99_ms": latency.quantile(0.99) * 1e3,
             "mean_batch_lanes": float(np.mean([r.batch_lanes for r in ok]))
             if ok else 0.0,
             "recovered": sum(r.recovered for r in ok),
@@ -206,6 +202,7 @@ def run_cell(args, workload_name, mix):
         "p90_ms": round(b["p90_ms"], 3),
         "p99_ms": round(b["p99_ms"], 3),
         "naive_p99_ms": round(nv["p99_ms"], 3),
+        "rel_err": REL_ERR,
         "mean_batch_lanes": round(b["mean_batch_lanes"], 1),
         "sheds": b["sheds"],
         "silent_wrong": b["wrong"] + nv["wrong"],
@@ -361,7 +358,8 @@ def main(argv=None) -> int:
         records.append(record)
         failures.extend(cell_failures)
         print(f"[{workload_name:>11}] batched {record['throughput_rps']:>9.1f} rps "
-              f"(p99 {record['p99_ms']:.2f} ms, fill {record['mean_batch_lanes']:.0f} lanes) "
+              f"(p99 {record['p99_ms']:.2f} ms ±{record['rel_err']:.0%}, "
+              f"fill {record['mean_batch_lanes']:.0f} lanes) "
               f"vs naive {record['naive_rps']:>9.1f} rps -> {record['speedup']}x "
               f"(floor {record['floor']}x)")
     if args.overload:

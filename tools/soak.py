@@ -79,40 +79,8 @@ if os.path.isdir(_SRC) and os.path.abspath(_SRC) not in map(os.path.abspath, sys
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 NETWORKS = ("mux_merger", "prefix")  # combinational: checkers attach directly
-
-#: Latency histogram: log2 buckets over [1 µs, ~1100 s]; bucket b holds
-#: latencies <= 1e-6 * 2**b.  Coarse, but the SLO bound sits orders of
-#: magnitude above the expected values, so bucket-upper-bound p99 is a
-#: safely conservative estimate.
-_LAT_BASE_S = 1e-6
-_LAT_BUCKETS = 50
-
-
-def _lat_bucket(latency_s: float) -> int:
-    if latency_s <= _LAT_BASE_S:
-        return 0
-    return min(_LAT_BUCKETS, int(math.ceil(math.log2(latency_s / _LAT_BASE_S))))
-
-
-def _hist_add(hist, bucket: int, count: int = 1) -> None:
-    key = str(bucket)
-    hist[key] = hist.get(key, 0) + count
-
-
-def _hist_p99(hist) -> float:
-    total = sum(hist.values())
-    if not total:
-        return 0.0
-    need = math.ceil(0.99 * total)
-    seen = 0
-    for key in sorted(hist, key=int):
-        seen += hist[key]
-        if seen >= need:
-            return _LAT_BASE_S * (2 ** int(key))
-    return _LAT_BASE_S * (2 ** _LAT_BUCKETS)  # pragma: no cover
-
 
 # ---------------------------------------------------------------------------
 # Worker-side execution
@@ -192,6 +160,7 @@ def _soak_chunk(payload) -> dict:
     """
     from repro.core.api import pad_bits
     from repro.errors import ReproError
+    from repro.obs import MetricsRegistry
 
     (cell, chunk_index, mode, network, rows, fault_seed, deadline_s) = payload
     started = time.perf_counter()
@@ -199,7 +168,8 @@ def _soak_chunk(payload) -> dict:
         "alarms": 0, "invariant": 0, "recovered": 0, "silent": 0,
         "deadline_hits": 0, "retries": 0, "fallbacks": 0, "exhausted": 0,
     }
-    lat_hist = {}
+    latency = MetricsRegistry()
+    hist = latency.histogram("soak_latency_seconds", cell=cell)
     outputs = [None] * len(rows)
 
     if mode == "batch":
@@ -245,11 +215,12 @@ def _soak_chunk(payload) -> dict:
                 stats["silent"] += 1
                 out = expected
             outputs[pos] = out
-            _hist_add(lat_hist, _lat_bucket(time.perf_counter() - t0))
+            hist.observe(time.perf_counter() - t0)
 
     wall_s = time.perf_counter() - started
-    if mode == "batch" and rows:
-        _hist_add(lat_hist, _lat_bucket(wall_s / len(rows)), len(rows))
+    if mode == "batch":
+        for _ in rows:
+            hist.observe(wall_s / len(rows))
 
     digest = hashlib.sha256()
     for out in outputs:
@@ -263,7 +234,8 @@ def _soak_chunk(payload) -> dict:
         "fault_seed": fault_seed,
         "deadline": deadline_s is not None,
         "digest": digest.hexdigest(),
-        "_measured": {"wall_s": wall_s, "lat_hist": lat_hist, **stats},
+        "_measured": {"wall_s": wall_s, "latency": latency.dump_state(),
+                      **stats},
     }
 
 
@@ -365,13 +337,14 @@ def _enumerate_cell(args, cell: str, per_cell: int, chaos):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_slo(args, active, totals, lat_hist, quarantine, total_chunks,
+def _evaluate_slo(args, active, totals, p99, quarantine, total_chunks,
                   chaos_totals, obs_consistent) -> dict:
-    p99 = _hist_p99(lat_hist)
+    from repro.obs import REL_ERR
+
     q_rate = (len(quarantine) / total_chunks) if total_chunks else 0.0
     gates = {
         "p99_latency": {
-            "bound_s": args.slo_p99, "value_s": p99,
+            "bound_s": args.slo_p99, "value_s": p99, "rel_err": REL_ERR,
             "ok": p99 <= args.slo_p99,
         },
         "silent_corruption": {
@@ -553,9 +526,10 @@ def main(argv=None) -> int:
     chunks = {cell: {} for cell in workloads}  # cell -> {chunk_index: record}
     quarantine = []
     measured = {
-        "lat_hist": {}, "cells": {}, "chaos_log": [],
+        "latency": [], "cells": {}, "chaos_log": [],
         "kills_sent": 0, "rounds": 0,
     }
+    latency = obs.MetricsRegistry()  # per-cell soak_latency_seconds
     prior = None if args.no_resume else load_checkpoint(args.out, meta, FORMAT_VERSION)
     if prior is not None:
         if prior["meta"].get("complete"):
@@ -566,11 +540,13 @@ def main(argv=None) -> int:
             chunks[cell] = {int(k): v for k, v in recs.items()}
         quarantine = prior.get("quarantine", [])
         measured = prior.get("measured", measured)
+        latency.merge_state(measured["latency"])
         done_n = sum(len(v) for v in chunks.values())
         print(f"resuming from {args.out}: {done_n} chunks done"
               + (f", {len(quarantine)} quarantine events" if quarantine else ""))
 
     def checkpoint():
+        measured["latency"] = latency.dump_state()
         atomic_write_json(args.out, {
             "meta": meta,
             "chunks": {c: {str(k): v for k, v in sorted(recs.items())}
@@ -584,7 +560,7 @@ def main(argv=None) -> int:
             "alarms": 0, "invariant": 0, "recovered": 0, "silent": 0,
             "deadline_hits": 0, "retries": 0, "fallbacks": 0,
             "exhausted": 0, "requests": 0, "wall_s": 0.0,
-            "quarantine_events": 0, "lat_hist": {},
+            "quarantine_events": 0,
         })
 
     session = {"requests": 0}  # this process only: the metrics registry
@@ -602,9 +578,7 @@ def main(argv=None) -> int:
             stats[key] += m[key]
         stats["requests"] += record["rows"]
         stats["wall_s"] += m["wall_s"]
-        for bucket, count in m["lat_hist"].items():
-            _hist_add(measured["lat_hist"], int(bucket), count)
-            _hist_add(stats["lat_hist"], int(bucket), count)
+        latency.merge_state(m["latency"])
         if obs.enabled():
             obs.counter("repro_soak_requests_total",
                         "Soak requests by (cell, mode).",
@@ -705,9 +679,11 @@ def main(argv=None) -> int:
             if name == "repro_soak_requests_total"
         )
         obs_consistent = int(counted) == session["requests"]
-    gates = _evaluate_slo(args, active, totals, measured["lat_hist"],
-                          quarantine, total_chunks, chaos_totals,
-                          obs_consistent)
+    overall = obs.MetricsRegistry()  # every cell's buckets, unlabelled
+    overall.merge_state({**e, "labels": {}} for e in latency.dump_state())
+    p99 = overall.histogram("soak_latency_seconds").quantile(0.99)
+    gates = _evaluate_slo(args, active, totals, p99, quarantine,
+                          total_chunks, chaos_totals, obs_consistent)
     verdict = "PASS" if all(g["ok"] for g in gates.values()) else "FAIL"
     obs.trace_event("soak.verdict", verdict=verdict,
                     **{name: g["ok"] for name, g in gates.items()})
@@ -738,14 +714,15 @@ def main(argv=None) -> int:
     })
 
     # -- measured companions --------------------------------------------------
-    p99 = _hist_p99(measured["lat_hist"])
     cell_reports = {}
     for cell in workloads:
         stats = measured["cells"].get(cell, {})
         cwall = stats.get("wall_s", 0.0)
         cell_reports[cell] = {
-            **{k: v for k, v in stats.items() if k != "lat_hist"},
-            "p99_s": _hist_p99(stats.get("lat_hist", {})),
+            **stats,
+            "p99_s": latency.histogram("soak_latency_seconds",
+                                       cell=cell).quantile(0.99),
+            "rel_err": obs.REL_ERR,
             "throughput_rps": (stats.get("requests", 0) / cwall) if cwall else 0.0,
         }
     atomic_write_json(args.measured_out, {
@@ -753,6 +730,7 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "wall_s": wall_s,
         "p99_s": p99,
+        "rel_err": obs.REL_ERR,
         "slo": gates,
         "quarantine": quarantine,
         "chaos": {"log": measured["chaos_log"], **chaos_totals},
@@ -769,6 +747,7 @@ def main(argv=None) -> int:
                 "requests": cell_reports[cell].get("requests", 0),
                 "throughput_rps": cell_reports[cell]["throughput_rps"],
                 "p99_s": cell_reports[cell]["p99_s"],
+                "rel_err": obs.REL_ERR,
                 "quarantine_rate": (
                     cell_reports[cell].get("quarantine_events", 0)
                     / max(len(chunks[cell]), 1)
@@ -798,7 +777,8 @@ def main(argv=None) -> int:
           f"invariant={totals['invariant']} recovered={totals['recovered']} "
           f"deadline_hits={totals['deadline_hits']} "
           f"exhausted={totals['exhausted']}")
-    print(f"p99 latency: {p99 * 1e3:.2f} ms  silent corruption: {totals['silent']}")
+    print(f"p99 latency: {p99 * 1e3:.2f} ms (±{obs.REL_ERR:.0%})  "
+          f"silent corruption: {totals['silent']}")
     for name, gate in gates.items():
         print(f"  [{'ok' if gate['ok'] else 'FAIL'}] {name}: "
               + ", ".join(f"{k}={v}" for k, v in gate.items() if k != "ok"))
