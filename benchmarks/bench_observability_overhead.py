@@ -25,16 +25,17 @@ import pytest
 import repro.obs as obs
 from repro.analysis import format_table
 from repro.circuits import get_plan
-from repro.circuits.engine import _ONES8, _ONES64, apply_steps
+from repro.circuits.engine import _ONES64, apply_steps
 from repro.core import build_mux_merger_sorter, build_prefix_sorter
 
-#: (builder, n, batch rows, mode) series; the (prefix, 1024, unpacked)
-#: row carries the <2% acceptance assertion.
+#: (builder, n, batch rows) series, all through ``ExecutionPlan.execute``
+#: (the engine's one bit path, recorded as mode "packed"); the
+#: (prefix, 1024) row carries the <2% acceptance assertion.
 SERIES = [
-    ("prefix", 256, 63, "unpacked"),
-    ("prefix", 1024, 63, "unpacked"),
-    ("prefix", 256, 256, "packed"),
-    ("mux_merger", 256, 63, "unpacked"),
+    ("prefix", 256, 63),
+    ("prefix", 1024, 63),
+    ("prefix", 256, 256),
+    ("mux_merger", 256, 63),
 ]
 BUILDERS = {"prefix": build_prefix_sorter, "mux_merger": build_mux_merger_sorter}
 
@@ -46,22 +47,10 @@ CALLS = 8
 SAMPLES = 12
 
 
-def _raw_unpacked(plan, batch):
-    """The pre-instrumentation ``execute_unpacked`` body: no obs flag
-    check at all.  Kept in lockstep with ExecutionPlan.execute_unpacked —
-    the differential assert below fails loudly if they drift apart."""
-    B = batch.shape[0]
-    V = np.empty((plan.n_wires, B), dtype=np.uint8)
-    if plan.in_wires.size:
-        V[plan.in_wires] = batch.T
-    for w, val in plan.constants:
-        V[w] = val
-    apply_steps(V, plan.steps, _ONES8)
-    return np.ascontiguousarray(V[plan.out_wires].T)
-
-
 def _raw_packed(plan, batch):
-    """The pre-instrumentation ``execute_packed`` body."""
+    """The pre-instrumentation ``execute`` body: no obs flag check at
+    all.  Kept in lockstep with ExecutionPlan.execute — the differential
+    assert below fails loudly if they drift apart."""
     B, n_in = batch.shape
     W = (B + 63) // 64
     V = np.empty((plan.n_wires, W), dtype=np.uint64)
@@ -96,16 +85,12 @@ def _interleaved_best(fns, calls=CALLS, samples=SAMPLES):
 def _series_records(rng):
     assert not obs.enabled(), "series must start from the default (off) state"
     records = []
-    for name, n, rows, mode in SERIES:
+    for name, n, rows in SERIES:
         net = BUILDERS[name](n)
         plan = get_plan(net)
         batch = rng.integers(0, 2, (rows, n)).astype(np.uint8)
-        if mode == "packed":
-            raw = lambda: _raw_packed(plan, batch)
-            run = lambda: plan.execute_packed(batch)
-        else:
-            raw = lambda: _raw_unpacked(plan, batch)
-            run = lambda: plan.execute_unpacked(batch)
+        raw = lambda: _raw_packed(plan, batch)
+        run = lambda: plan.execute(batch)
         # the reconstructed baseline must still be the same computation
         assert np.array_equal(raw(), run())
         raw_s, plan_s = _interleaved_best([raw, run])
@@ -113,7 +98,7 @@ def _series_records(rng):
             "network": name,
             "n": n,
             "batch": rows,
-            "mode": mode,
+            "mode": "packed",
             "raw_s": round(raw_s, 7),
             "plan_s": round(plan_s, 7),
             "overhead_frac": round(plan_s / raw_s - 1.0, 4),
@@ -128,11 +113,11 @@ def test_disabled_overhead_series(benchmark, emit, results_dir, rng):
     # one representative timing for the pytest-benchmark ledger
     plan = get_plan(build_prefix_sorter(1024))
     batch = rng.integers(0, 2, (63, 1024)).astype(np.uint8)
-    out = benchmark(plan.execute_unpacked, batch)
+    out = benchmark(plan.execute, batch)
     assert np.array_equal(out, np.sort(batch, axis=1))
 
     accept = [r for r in records
-              if (r["network"], r["n"], r["mode"]) == ("prefix", 1024, "unpacked")]
+              if (r["network"], r["n"]) == ("prefix", 1024)]
     assert len(accept) == 1
     # the acceptance bar: <2% on the n=1024 prefix sorter
     assert accept[0]["overhead_frac"] < MAX_DISABLED_OVERHEAD, accept[0]
@@ -160,16 +145,16 @@ def test_enabled_instrumentation_end_to_end(emit, rng, tmp_path):
     n, rows = 256, 63
     plan = get_plan(build_prefix_sorter(n))
     batch = rng.integers(0, 2, (rows, n)).astype(np.uint8)
-    baseline = plan.execute_unpacked(batch)
-    off_s = _interleaved_best([lambda: plan.execute_unpacked(batch)],
+    baseline = plan.execute(batch)
+    off_s = _interleaved_best([lambda: plan.execute(batch)],
                               samples=6)[0]
 
     trace = tmp_path / "trace.jsonl"
     obs.reset()
     obs.enable(trace_path=trace)
     try:
-        traced = plan.execute_unpacked(batch)
-        on_s = _interleaved_best([lambda: plan.execute_unpacked(batch)],
+        traced = plan.execute(batch)
+        on_s = _interleaved_best([lambda: plan.execute(batch)],
                                  samples=6)[0]
         summaries = obs.flush_activity()
         snapshot = obs.registry().snapshot()

@@ -114,9 +114,9 @@ def test_perf_engine_packed_exhaustive(benchmark, emit):
     batch = exhaustive_inputs(16)  # all 65536 vectors
     plan = get_plan(net)
     ti = _best_of(lambda: simulate_interpreted(net, batch))
-    tp = _best_of(lambda: plan.execute_packed(batch))
-    assert np.array_equal(plan.execute_packed(batch), simulate_interpreted(net, batch))
-    benchmark(plan.execute_packed, batch)
+    tp = _best_of(lambda: plan.execute(batch))
+    assert np.array_equal(plan.execute(batch), simulate_interpreted(net, batch))
+    benchmark(plan.execute, batch)
     speedup = ti / tp
     emit(
         f"bit-packed exhaustive n=16 (2^16 vectors): interpreter {ti:.4f}s, "

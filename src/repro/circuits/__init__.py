@@ -11,12 +11,13 @@ as executable circuits with the exact cost/depth accounting of Section II:
   payload-carrying evaluation (thin wrappers over the engine, with the
   original interpreters kept as differential-testing oracles).
 * :mod:`~repro.circuits.engine` — compiled level-batched execution
-  plans: fused gather/kernel/scatter steps per (level, kind) group, a
-  bit-packed 64-lanes-per-word fast path, and a weak-keyed plan cache.
+  plans: fused gather/kernel/scatter steps per (level, kind) group,
+  evaluated 64 lanes per bit-packed word, and a weak-keyed plan cache.
 * :mod:`~repro.circuits.jit` — one level further down: code-generated
-  straight-line bit-slice kernels with bit-level optimization passes
-  (constant propagation, CSE, dead-code elimination, cross-level
-  fusion) and a persistent content-hash-keyed disk cache.
+  straight-line bit-slice kernels (constant folding and CSE while
+  lowering, dead-code elimination, cross-level fusion), one size cap
+  for when ``simulate`` and the checked ladder use them, and a
+  persistent content-hash-keyed disk cache.
 * :mod:`~repro.circuits.sequential` — Model B: timelines, pipeline
   levelization, and a cycle-accurate pipelined executor.
 * :mod:`~repro.circuits.faults` — declarative fault models (stuck-at,
@@ -51,7 +52,6 @@ from .elements import Element, ELEMENT_META
 from .engine import (
     ExecutionPlan,
     FusedStep,
-    PACKED_MIN_BATCH,
     cache_info,
     clear_disk_cache,
     clear_plan_cache,
@@ -81,7 +81,6 @@ from .jit import (
     JitPlan,
     compile_jit,
     get_jit_plan,
-    optimize_program,
 )
 from .lowering import gate_count, gate_depth, lower_to_gates
 from .opt import fold_constants, optimize, prune_dead
@@ -124,7 +123,6 @@ __all__ = [
     "Netlist",
     "OutputChecker",
     "OutputSwap",
-    "PACKED_MIN_BATCH",
     "PipelinedNetlist",
     "SequentialCircuit",
     "StuckAt",
@@ -164,7 +162,6 @@ __all__ = [
     "load",
     "lower_to_gates",
     "optimize",
-    "optimize_program",
     "path_kind_summary",
     "plan_cache_size",
     "popcount_cost_bound",

@@ -11,11 +11,12 @@ into a reusable :class:`ExecutionPlan`:
   produced at earlier levels, so the whole step evaluates as one NumPy
   gather (``V[in_idx]`` over the index array of input wires), one
   vectorized kernel for the kind, and one scatter into a single
-  preallocated ``(n_wires, batch)`` value matrix;
-* a **bit-packed fast path** packs 64 test vectors per ``np.uint64``
-  word, so comparators and gates become native bitwise ops and switches
-  become mask-selects — this is what makes exhaustive ``2**n``
-  zero-one-principle verification cheap at small n;
+  preallocated value matrix with one row per wire;
+* the **bit path** (:meth:`ExecutionPlan.execute`) packs 64 test
+  vectors per ``np.uint64`` word at every batch size, so comparators
+  and gates become native bitwise ops and switches become mask-selects
+  — this is what makes exhaustive ``2**n`` zero-one-principle
+  verification cheap at small n;
 * a **compiled payload path** routes ``(tag, payload)`` pairs with the
   same fused steps, replacing the per-element loop in
   ``simulate_payload``.
@@ -29,8 +30,10 @@ reuses its plan).  The interpreters remain available as
 the differential-testing oracle for this engine.
 
 All kernels are written in mask-select form (``(a & ~s) | (b & s)``)
-which is simultaneously correct for ``uint8`` 0/1 lanes and for packed
-``uint64`` words, so the two paths share one kernel implementation.
+which is simultaneously correct for packed ``uint64`` words and for
+``uint8`` 0/1 lanes (the payload path's tags and
+:class:`~repro.circuits.sequential.PipelinedNetlist`'s per-level
+steps), so every caller shares one kernel implementation.
 """
 
 from __future__ import annotations
@@ -50,11 +53,6 @@ from .netlist import Netlist
 #: demultiplexer's unselected branch).  Canonical definition; re-exported
 #: by :mod:`repro.circuits.simulate` for backwards compatibility.
 NO_PAYLOAD = -1
-
-#: Minimum batch size at which :meth:`ExecutionPlan.execute` switches to
-#: the bit-packed path.  Below this the pack/unpack overhead outweighs
-#: the 64-lane compression.
-PACKED_MIN_BATCH = 64
 
 _ONES8 = np.uint8(1)
 _ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -341,9 +339,9 @@ class ExecutionPlan:
     def execute(self, batch: np.ndarray, taps=None) -> np.ndarray:
         """Evaluate a ``(B, n_inputs)`` uint8 batch; returns ``(B, n_out)``.
 
-        Selects the bit-packed path for batches of at least
-        :data:`PACKED_MIN_BATCH` rows, the per-lane uint8 path otherwise;
-        both are bit-identical to the interpreter on 0/1 inputs.
+        Packs 64 test vectors per uint64 word (a partial last word is
+        padded, and the pad lanes are dropped on unpack); bit-identical
+        to the interpreter on 0/1 inputs.
 
         ``taps`` — an optional sequence of wire ids — switches the return
         to ``(outputs, tap_values)`` where ``tap_values`` is the
@@ -351,30 +349,6 @@ class ExecutionPlan:
         Fault campaigns use taps to measure *activation*: how often a
         faulted wire's healthy value actually differs from the fault.
         """
-        if batch.shape[0] >= PACKED_MIN_BATCH:
-            return self.execute_packed(batch, taps)
-        return self.execute_unpacked(batch, taps)
-
-    def execute_unpacked(self, batch: np.ndarray, taps=None) -> np.ndarray:
-        """Per-lane uint8 evaluation (one byte per test vector)."""
-        B = batch.shape[0]
-        V = np.empty((self.n_wires, B), dtype=np.uint8)
-        if self.in_wires.size:
-            V[self.in_wires] = batch.T
-        for w, val in self.constants:
-            V[w] = val
-        if obs.OBS.enabled:
-            self._apply_observed(V, _ONES8, B, "unpacked")
-        else:
-            apply_steps(V, self.steps, _ONES8)
-        out = np.ascontiguousarray(V[self.out_wires].T)
-        if taps is None:
-            return out
-        tap_idx = np.asarray(taps, dtype=np.intp)
-        return out, np.ascontiguousarray(V[tap_idx].T)
-
-    def execute_packed(self, batch: np.ndarray, taps=None) -> np.ndarray:
-        """Bit-packed evaluation: 64 test vectors per uint64 word."""
         B, n_in = batch.shape
         W = (B + 63) // 64
         V = np.empty((self.n_wires, W), dtype=np.uint64)

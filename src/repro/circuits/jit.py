@@ -20,20 +20,22 @@ precision integers, where every batch lane is one bit of the word
   into ``B``-bit integers, so one generated kernel serves every batch
   size.
 
-Lowering goes through an explicit SSA bit-op IR (:class:`BitProgram`)
-so that plan-level optimization passes can run before codegen.  These
-passes extend the netlist-level ``prune_dead``/``fold_constants`` of
-:mod:`repro.circuits.opt` down to the bit level, where sharing that is
-invisible between elements (a ``COMPARATOR``'s AND versus an explicit
-``AND`` gate in a prefix-adder cone) becomes explicit:
+Lowering goes through an explicit SSA bit-op IR (:class:`BitProgram`).
+:func:`lower` folds constants (including constants on steering/control
+wires) and hash-conses common subexpressions as it emits each node —
+the bit-level extension of :mod:`repro.circuits.opt`'s
+``fold_constants``, where sharing that is invisible between elements (a
+``COMPARATOR``'s AND versus an explicit ``AND`` gate in a prefix-adder
+cone) becomes explicit; :func:`eliminate_dead` then drops every
+operation with no path to a primary output.  That one walk plus one
+sweep is the whole optimizer: re-emitting a lowered program through a
+fresh folding, hash-consing builder reproduces it node for node.
 
-* :func:`propagate_constants` — fold constant wires through every
-  element kind, including steering/control wires of switches;
-* :func:`share_subexpressions` — global common-subexpression sharing by
-  hash-consing with commutative normalization;
-* :func:`eliminate_dead` — drop every operation with no path to a
-  primary output;
-* :func:`optimize_program` — all of the above to completion.
+One rule decides when :func:`repro.circuits.simulate.simulate` uses
+this backend: the netlist :func:`fits` (at most
+:data:`JIT_MAX_ELEMENTS` elements) and is *warm* (see
+:func:`maybe_jit`).  The checked-run ladder's ``jit`` rung uses the same
+:func:`fits` and compiles on first use.
 
 Compiled plans are cached three deep: a weak-keyed in-memory cache
 (:func:`get_jit_plan`, mirroring the engine's plan cache), and a
@@ -76,7 +78,6 @@ from .serialize import netlist_key
 __all__ = [
     "BitProgram",
     "JitPlan",
-    "JIT_MIN_ELEMENTS",
     "JIT_MAX_ELEMENTS",
     "JIT_WARMUP_CALLS",
     "cache_info",
@@ -86,35 +87,24 @@ __all__ = [
     "compile_jit",
     "disk_cache_dir",
     "eliminate_dead",
+    "fits",
     "get_jit_plan",
-    "jit_mode",
     "lower",
     "maybe_jit",
-    "optimize_program",
-    "propagate_constants",
     "run_program",
-    "share_subexpressions",
 ]
 
-#: Environment switch for the automatic routing in ``simulate``:
-#: ``"1"``/``"on"``/``"force"`` always JIT, ``"0"``/``"off"`` never,
-#: unset or ``"auto"`` applies the size/warm-up thresholds below.
-ENV_JIT = "REPRO_JIT"
 #: Disk-cache location override; ``"off"``/``"0"``/``"none"`` disables
 #: the persistent cache entirely.
 ENV_JIT_CACHE = "REPRO_JIT_CACHE"
 
-#: Auto-mode thresholds: netlists below the floor are cheap enough for
-#: the engine's fused steps (codegen would never amortize); above the
-#: ceiling the engine's vectorized gathers win back and compile times
-#: stretch to seconds.  Chosen from BENCH_jit measurements on this
-#: container; ``REPRO_JIT=1`` bypasses both.
-JIT_MIN_ELEMENTS = 256
+#: The one size cap (see :func:`fits`): above it the engine's vectorized
+#: gathers win back and compile times stretch to seconds.  Below it the
+#: kernel wins at every size measured, from a 5-element netlist up.
 JIT_MAX_ELEMENTS = 24_000
-#: Auto mode compiles a netlist only after it has been simulated this
-#: many times (unless a disk-cache entry already exists), so one-shot
-#: simulations — e.g. fault campaigns visiting thousands of distinct
-#: mutants once each — never pay codegen.
+#: :func:`maybe_jit` compiles a netlist only after it has been simulated
+#: this many times, so one-shot simulations — e.g. fault campaigns
+#: visiting thousands of distinct mutants once each — never pay codegen.
 JIT_WARMUP_CALLS = 3
 
 #: Bump when the IR, codegen, or cache entry layout changes; part of
@@ -266,9 +256,11 @@ def lower(netlist: Netlist, *, fold: bool = True,
           share: bool = True) -> BitProgram:
     """Lower a netlist to the bit-op IR.
 
-    With ``fold``/``share`` disabled the translation is direct (one
-    cluster of ops per element, nothing merged) — the baseline the
-    optimization passes are differentially tested against.
+    ``fold`` propagates constants and algebraic identities as nodes are
+    emitted; ``share`` hash-conses equal nodes.  With both disabled the
+    translation is direct (one cluster of ops per element, nothing
+    merged) — the baseline folding and sharing are differentially
+    tested against.
     """
     b = _Builder(len(netlist.inputs), fold, share)
     val: Dict[int, int] = {}
@@ -342,44 +334,6 @@ def lower(netlist: Netlist, *, fold: bool = True,
     )
 
 
-# ---------------------------------------------------------------------------
-# Optimization passes
-# ---------------------------------------------------------------------------
-
-def _rebuild(prog: BitProgram, fold: bool, share: bool) -> BitProgram:
-    """Re-emit every node through a fresh builder with the given
-    folding/consing configuration, remapping operand ids."""
-    b = _Builder(prog.n_inputs, fold, share)
-    remap: Dict[int, int] = {0: 0, 1: 1}
-    for pos in range(prog.n_inputs):
-        remap[2 + pos] = b.input(pos)
-    for nid, (op, x, y) in enumerate(prog.nodes):
-        if op in _BINOPS:
-            remap[nid] = b.emit(op, remap[x], remap[y])
-    return BitProgram(
-        n_inputs=prog.n_inputs,
-        nodes=tuple(b.nodes),
-        outputs=tuple(remap[o] for o in prog.outputs),
-        name=prog.name,
-    )
-
-
-def propagate_constants(prog: BitProgram) -> BitProgram:
-    """Fold constant words through the program (including constants on
-    steering/control paths, which reach here as ordinary operands)."""
-    return _rebuild(prog, fold=True, share=False)
-
-
-def share_subexpressions(prog: BitProgram) -> BitProgram:
-    """Global common-subexpression elimination by hash-consing.
-
-    Works across element kinds — the AND inside a comparator and an
-    explicit AND gate over the same wires (as in the prefix-adder
-    cones) collapse to a single operation.
-    """
-    return _rebuild(prog, fold=False, share=True)
-
-
 def eliminate_dead(prog: BitProgram) -> BitProgram:
     """Drop every operation with no path to a primary output (the
     bit-level analog of :func:`repro.circuits.opt.prune_dead`)."""
@@ -406,22 +360,6 @@ def eliminate_dead(prog: BitProgram) -> BitProgram:
         outputs=tuple(remap[o] for o in prog.outputs),
         name=prog.name,
     )
-
-
-def optimize_program(prog: BitProgram) -> Tuple[BitProgram, Dict[str, int]]:
-    """Run every pass to a fixed point; returns ``(program, stats)``.
-
-    One combined fold+share rebuild reaches the fixed point of both
-    passes in a single walk (each emitted node sees already-normalized
-    operands); dead-code elimination then sweeps what folding orphaned.
-    """
-    before = prog.n_ops
-    opt = eliminate_dead(_rebuild(prog, fold=True, share=True))
-    return opt, {
-        "ops_before": before,
-        "ops_after": opt.n_ops,
-        "removed": before - opt.n_ops,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +533,20 @@ def _fn_from_code(code):
     raise BuildError("jit cache entry defined no function")  # pragma: no cover
 
 
-def compile_jit(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
-    """Compile ``netlist`` to a fresh :class:`JitPlan` (no caches)."""
+def compile_jit(netlist: Netlist) -> JitPlan:
+    """Compile ``netlist`` to a fresh :class:`JitPlan` (no caches).
+
+    ``stats`` records the ops :func:`lower` emitted (``ops_before``),
+    the ops left after :func:`eliminate_dead` (``ops_after``), their
+    difference (``removed``) and the wall-clock of the whole compile
+    (``codegen_s``).
+    """
     t0 = time.perf_counter()
-    prog = lower(netlist, fold=optimize, share=optimize)
-    naive_ops = prog.n_ops
-    if optimize:
-        prog, stats = optimize_program(prog)
-    else:
-        stats = {"ops_before": naive_ops, "ops_after": naive_ops,
-                 "removed": 0}
-    source = codegen(prog, fuse=optimize)
+    lowered = lower(netlist)
+    prog = eliminate_dead(lowered)
+    stats = {"ops_before": lowered.n_ops, "ops_after": prog.n_ops,
+             "removed": lowered.n_ops - prog.n_ops}
+    source = codegen(prog)
     code = _compile_source(source, "_jit_kernel")
     dt = time.perf_counter() - t0
     stats["codegen_s"] = round(dt, 6)
@@ -626,7 +567,8 @@ _JIT_CACHE: "weakref.WeakKeyDictionary[Netlist, JitPlan]" = (
     weakref.WeakKeyDictionary()
 )
 _JIT_LOCK = threading.RLock()
-#: Auto-mode warm-up counters (weak so sweeps don't accumulate state).
+#: :func:`maybe_jit` warm-up counters (weak so sweeps don't accumulate
+#: state).
 _CALL_COUNTS: "weakref.WeakKeyDictionary[Netlist, int]" = (
     weakref.WeakKeyDictionary()
 )
@@ -659,15 +601,15 @@ def _cache_path(key: str) -> Optional[str]:
     return os.path.join(base, f"{key[:40]}.rjit")
 
 
-def _jit_key(netlist: Netlist, optimize: bool = True) -> str:
+def _jit_key(netlist: Netlist) -> str:
     """Disk-cache key: netlist content hash (shared with
     :func:`repro.circuits.serialize.load`'s staleness logic) + codegen
-    format version + interpreter bytecode magic + pass configuration."""
+    format version + interpreter bytecode magic."""
     base = _KEY_CACHE.get(netlist)
     if base is None:
         base = netlist_key(netlist)
         _KEY_CACHE[netlist] = base
-    tail = f":{CODEGEN_VERSION}:{_PY_TAG}:{'opt' if optimize else 'raw'}"
+    tail = f":{CODEGEN_VERSION}:{_PY_TAG}"
     return hashlib.sha256((base + tail).encode()).hexdigest()
 
 
@@ -757,7 +699,7 @@ def _load_disk_by_path(path: str, key: Optional[str] = None
     return plan
 
 
-def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
+def get_jit_plan(netlist: Netlist) -> JitPlan:
     """Return the cached JIT plan for ``netlist``, compiling on first use.
 
     Lookup order: weak in-memory cache, persistent disk cache (content-
@@ -775,7 +717,7 @@ def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
                     "JIT plan cache hits by tier", tier="memory",
                 ).inc()
             return plan
-        key = _jit_key(netlist, optimize)
+        key = _jit_key(netlist)
         plan = _load_disk(key)
         if plan is not None:
             if obs.OBS.enabled:
@@ -792,48 +734,40 @@ def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
                 "jit.compile", netlist=netlist.name,
                 elements=len(netlist.elements),
             ) as attrs:
-                plan = compile_jit(netlist, optimize=optimize)
+                plan = compile_jit(netlist)
                 attrs.update(ops=plan.n_ops,
                              codegen_s=plan.stats.get("codegen_s"))
             reg = obs.OBS.registry
             reg.counter("repro_jit_compiles_total",
                         "JIT plan compilations").inc()
             reg.histogram("repro_jit_codegen_seconds",
-                          "Wall-clock of one lower+optimize+codegen run"
+                          "Wall-clock of one lower+eliminate+codegen run"
                           ).observe(plan.stats.get("codegen_s", 0.0))
         else:
-            plan = compile_jit(netlist, optimize=optimize)
+            plan = compile_jit(netlist)
         _write_disk(key, plan)
         _JIT_CACHE[netlist] = plan
         return plan
 
 
-def jit_mode() -> str:
-    """Effective routing mode from :data:`ENV_JIT`: ``on``/``off``/``auto``."""
-    raw = os.environ.get(ENV_JIT, "").strip().lower()
-    if raw in ("1", "on", "true", "yes", "force"):
-        return "on"
-    if raw in ("0", "off", "false", "no"):
-        return "off"
-    return "auto"
+def fits(netlist: Netlist) -> bool:
+    """The one size rule: ``netlist`` has at most :data:`JIT_MAX_ELEMENTS`
+    elements.  Gates both :func:`maybe_jit` and the checked-run ladder's
+    ``jit`` rung (:func:`repro.runtime.run_checked`)."""
+    return len(netlist.elements) <= JIT_MAX_ELEMENTS
 
 
-def maybe_jit(netlist: Netlist, rows: int) -> Optional[JitPlan]:
+def maybe_jit(netlist: Netlist) -> Optional[JitPlan]:
     """Routing policy behind :func:`repro.circuits.simulate.simulate`.
 
-    ``on`` always returns a plan; ``off`` never does.  ``auto`` JITs a
-    netlist sized inside ``[JIT_MIN_ELEMENTS, JIT_MAX_ELEMENTS]`` once
-    it is *warm*: already compiled (memory or disk), or simulated at
-    least :data:`JIT_WARMUP_CALLS` times — so one-shot simulations of
-    thousands of distinct fault mutants never pay codegen.
+    Returns a plan for a netlist that :func:`fits` once it is *warm*:
+    compiled in this process already, or simulated
+    :data:`JIT_WARMUP_CALLS` times — so one-shot simulations of
+    thousands of distinct fault mutants never pay codegen.  The warm
+    call goes through :func:`get_jit_plan`, which adopts a disk-cache
+    entry when another process already compiled the netlist.
     """
-    mode = jit_mode()
-    if mode == "off":
-        return None
-    if mode == "on":
-        return get_jit_plan(netlist)
-    n_el = len(netlist.elements)
-    if not JIT_MIN_ELEMENTS <= n_el <= JIT_MAX_ELEMENTS:
+    if not fits(netlist):
         return None
     with _JIT_LOCK:
         plan = _JIT_CACHE.get(netlist)
@@ -842,10 +776,7 @@ def maybe_jit(netlist: Netlist, rows: int) -> Optional[JitPlan]:
         count = _CALL_COUNTS.get(netlist, 0) + 1
         _CALL_COUNTS[netlist] = count
     if count < JIT_WARMUP_CALLS:
-        # Not warm yet: only adopt an existing disk entry (cheap stat).
-        path = _cache_path(_jit_key(netlist))
-        if path is None or not os.path.exists(path):
-            return None
+        return None
     return get_jit_plan(netlist)
 
 

@@ -15,13 +15,16 @@ Two evaluation modes share the structural description in
   demonstrate that actual data is routed, not merely that sorted bits are
   generated.
 
-Both public entry points are thin wrappers over the compiled
-level-batched engine in :mod:`repro.circuits.engine` (plans cached
-weak-keyed per netlist, bit-packed fast path for large pure-bit
-batches).  The original element-at-a-time interpreters are retained as
-:func:`simulate_interpreted` / :func:`simulate_payload_interpreted` —
-they are the independent oracle the engine is differentially tested
-against.
+:func:`simulate` runs on the compiled level-batched engine in
+:mod:`repro.circuits.engine` (plans cached weak-keyed per netlist, 64
+vectors per bit-packed word) until the netlist is warm, then on the
+bit-slice JIT of :mod:`repro.circuits.jit` — one rule, for every netlist
+that :func:`~repro.circuits.jit.fits` under
+:data:`~repro.circuits.jit.JIT_MAX_ELEMENTS`.  :func:`simulate_payload`
+runs on the engine's payload path.  The original element-at-a-time
+interpreters are retained as :func:`simulate_interpreted` /
+:func:`simulate_payload_interpreted` — they are the independent oracle
+both compiled backends are differentially tested against.
 """
 
 from __future__ import annotations
@@ -66,11 +69,11 @@ def _as_batch(inputs, netlist: Optional[Netlist] = None) -> np.ndarray:
 def simulate(netlist: Netlist, inputs) -> np.ndarray:
     """Evaluate ``netlist`` on a batch of input vectors.
 
-    Runs on the compiled level-batched engine (bit-packed for batches of
-    64+ vectors), or — for netlists warm and sized inside the JIT window
-    (see :func:`repro.circuits.jit.maybe_jit` and the ``REPRO_JIT``
-    override) — on a code-generated straight-line bit-slice kernel.
-    Both backends are bit-identical to :func:`simulate_interpreted`.
+    Runs on the compiled level-batched engine, or — once the netlist is
+    warm and fits under the JIT's size cap (see
+    :func:`repro.circuits.jit.maybe_jit`) — on a code-generated
+    straight-line bit-slice kernel.  Both backends are bit-identical to
+    :func:`simulate_interpreted`.
 
     Parameters
     ----------
@@ -84,7 +87,7 @@ def simulate(netlist: Netlist, inputs) -> np.ndarray:
         ``uint8`` array of shape ``(batch, n_outputs)``.
     """
     batch = _as_batch(inputs, netlist)
-    plan = _jit.maybe_jit(netlist, batch.shape[0])
+    plan = _jit.maybe_jit(netlist)
     if plan is not None:
         return plan.execute(batch)
     return get_plan(netlist).execute(batch)
@@ -94,8 +97,7 @@ def simulate_engine(netlist: Netlist, inputs) -> np.ndarray:
     """:func:`simulate`, pinned to the fused-step engine (never JIT).
 
     The checked-run ladder's ``engine`` rung and the JIT's own differential
-    tests use this to keep the two compiled backends distinguishable
-    regardless of ``REPRO_JIT``.
+    tests use this to keep the two compiled backends distinguishable.
     """
     batch = _as_batch(inputs, netlist)
     return get_plan(netlist).execute(batch)
@@ -104,15 +106,12 @@ def simulate_engine(netlist: Netlist, inputs) -> np.ndarray:
 def simulate_jit(netlist: Netlist, inputs) -> np.ndarray:
     """:func:`simulate`, pinned to the code-generated bit-slice kernel.
 
-    Compiles (or loads from cache) unconditionally — no size threshold,
-    no warm-up — unless ``REPRO_JIT=0`` explicitly forbids the JIT, in
-    which case a :class:`~repro.errors.SimulationError` is raised.  The
-    checked-run ladder (:func:`repro.runtime.run_checked`) skips its
-    ``jit`` rung instead of calling this under ``REPRO_JIT=0``.
+    Compiles (or loads from cache) unconditionally — no size cap, no
+    warm-up.  The checked-run ladder (:func:`repro.runtime.run_checked`)
+    calls this for its ``jit`` rung on hardware that
+    :func:`~repro.circuits.jit.fits`.
     """
     batch = _as_batch(inputs, netlist)
-    if _jit.jit_mode() == "off":
-        raise SimulationError("JIT disabled by REPRO_JIT=0")
     return _jit.get_jit_plan(netlist).execute(batch)
 
 

@@ -11,9 +11,11 @@ The rows are the caller-held inputs.  The hardware is a
 policy's rungs, fastest first:
 
 * ``jit`` — the code-generated bit-slice kernel
-  (:func:`~repro.circuits.simulate.simulate_jit`); skipped, without a
-  detection, under ``REPRO_JIT=0`` or when the netlist has more than
-  :data:`~repro.circuits.jit.JIT_MAX_ELEMENTS` elements;
+  (:func:`~repro.circuits.simulate.simulate_jit`), compiled on first
+  use; skipped, without a detection, when the netlist does not
+  :func:`~repro.circuits.jit.fits` (more than
+  :data:`~repro.circuits.jit.JIT_MAX_ELEMENTS` elements) — the same
+  rule :func:`~repro.circuits.simulate.simulate` routes by;
 * ``engine`` — the fused-step engine, pinned so the two compiled rungs
   stay independent;
 * ``interpreter`` — the element-at-a-time oracle;
@@ -128,8 +130,7 @@ class CheckedRun:
 def _rungs(hw, policy: RecoveryPolicy) -> List[str]:
     if isinstance(hw, tuple):  # (FishSorter, OutputChecker)
         return [t for t in policy.tiers if t in ("engine", "behavioral")]
-    jit_ok = (_jit.jit_mode() != "off"
-              and len(hw.netlist.elements) <= _jit.JIT_MAX_ELEMENTS)
+    jit_ok = _jit.fits(hw.netlist)
     return [t for t in policy.tiers if jit_ok or t != "jit"]
 
 

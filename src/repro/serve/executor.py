@@ -16,7 +16,8 @@ Rows that fail get the engine and interpreter rungs, then are
 **recovered behaviorally** (``np.sort`` of the held input): a
 degraded-but-correct answer, never a silent corruption.  The batch's
 ``tier`` names the deepest rung any row needed: ``jit``, ``engine``
-(under ``REPRO_JIT=0``), ``interpreter`` or ``behavioral``.
+(for a width whose netlist exceeds the JIT's size cap), ``interpreter``
+or ``behavioral``.
 """
 
 from __future__ import annotations

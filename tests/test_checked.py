@@ -111,11 +111,6 @@ class TestTierTruth:
         assert outcome.tier == "jit"
         assert np.array_equal(outcome.data, np.sort(rows, axis=1))
 
-    def test_serve_batch_reports_engine_without_jit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        outcome = FabricExecutor().run_batch(64, _rows(lanes=16, width=64))
-        assert outcome.tier == "engine" and outcome.accepted.all()
-
     def test_jit_rung_skipped_above_window(self, monkeypatch):
         hw = with_checkers(make_sorter(8, "prefix"))
         monkeypatch.setattr(jit, "JIT_MAX_ELEMENTS", len(hw.netlist.elements) - 1)
@@ -124,6 +119,7 @@ class TestTierTruth:
         assert run.tier == "engine" and not run.fell_back
         assert run.detections == () and run.attempts == 1
         assert np.array_equal(run.data, np.sort(rows, axis=1))
+        assert hw.netlist not in jit._JIT_CACHE  # nothing compiled
 
 
 class TestLoadCheckpoint:

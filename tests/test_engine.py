@@ -7,17 +7,19 @@ import pytest
 
 from repro.circuits import (
     CircuitBuilder,
-    PACKED_MIN_BATCH,
     clear_plan_cache,
     compile_plan,
     exhaustive_inputs,
     fuse_elements,
     get_plan,
     plan_cache_size,
+    random_netlist,
     simulate,
+    simulate_interpreted,
 )
+from repro.circuits.netlist import Netlist
 from repro.circuits.simulate import _as_batch
-from repro.core import build_mux_merger_sorter
+from repro.core import build_mux_merger_sorter, build_prefix_sorter
 
 
 def _sorter_net(n=8):
@@ -94,16 +96,24 @@ class TestPlanCache:
 
 
 class TestPathSelection:
-    def test_threshold_routes_to_packed(self, rng):
-        net = _sorter_net(8)
-        plan = get_plan(net)
-        small = rng.integers(0, 2, (PACKED_MIN_BATCH - 1, 8)).astype(np.uint8)
-        large = rng.integers(0, 2, (PACKED_MIN_BATCH, 8)).astype(np.uint8)
-        # both must agree with each other regardless of routing
-        assert np.array_equal(
-            plan.execute(small), plan.execute_unpacked(small)
-        )
-        assert np.array_equal(plan.execute(large), plan.execute_packed(large))
+    @pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65, 129])
+    def test_one_bit_path_matches_interpreter(self, lanes, rng):
+        """``execute`` is the one bit path at every batch size: outputs
+        and tapped wires equal the interpreter's across word edges."""
+        nets = [build_prefix_sorter(8), _sorter_net(8),
+                random_netlist(rng, n_inputs=7, n_elements=40, n_outputs=5)]
+        for net in nets:
+            plan = get_plan(net)
+            batch = rng.integers(0, 2, (lanes, len(net.inputs))).astype(np.uint8)
+            expect = simulate_interpreted(net, batch)
+            assert np.array_equal(plan.execute(batch), expect)
+            taps = sorted(rng.choice(net.n_wires, size=5, replace=False).tolist())
+            out, tapped = plan.execute(batch, taps=taps)
+            # ground truth: the same netlist with outputs = tapped wires
+            probe = Netlist(net.n_wires, net.elements, net.inputs, taps,
+                            net.constants, name="probe")
+            assert np.array_equal(out, expect)
+            assert np.array_equal(tapped, simulate_interpreted(probe, batch))
 
     def test_empty_batch(self):
         net = _sorter_net(8)

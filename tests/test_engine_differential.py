@@ -10,7 +10,8 @@ interpreter is the oracle.  Coverage:
 * random + corner batches for wider interfaces;
 * hypothesis-driven single vectors and random-netlist fuzz
   (:func:`repro.circuits.fuzz.random_netlist`) exercising every element
-  kind, on all three paths (unpacked, bit-packed, payload).
+  kind, on both engine paths (the bit path and the payload path) and
+  through ``simulate``.
 """
 
 import numpy as np
@@ -35,11 +36,9 @@ from repro.networks.permutation import RadixPermuter
 
 
 def _check_all_paths(net, batch):
-    """Interpreter vs engine-unpacked vs engine-packed, bit for bit."""
+    """Interpreter vs the engine's bit path vs ``simulate``, bit for bit."""
     expect = simulate_interpreted(net, batch)
-    plan = get_plan(net)
-    assert np.array_equal(plan.execute_unpacked(batch), expect)
-    assert np.array_equal(plan.execute_packed(batch), expect)
+    assert np.array_equal(get_plan(net).execute(batch), expect)
     assert np.array_equal(simulate(net, batch), expect)
 
 
@@ -143,9 +142,8 @@ class TestFuzzDifferential:
         plan = get_plan(net)
         for B in (1, 63, 64, 65, 127, 128):
             batch = rng.integers(0, 2, (B, 9)).astype(np.uint8)
-            expect = simulate_interpreted(net, batch)
-            assert np.array_equal(plan.execute_packed(batch), expect)
-            assert np.array_equal(plan.execute_unpacked(batch), expect)
+            assert np.array_equal(plan.execute(batch),
+                                  simulate_interpreted(net, batch))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -153,10 +151,8 @@ class TestFuzzDifferential:
         rng = np.random.default_rng(seed)
         net = random_netlist(rng, n_inputs=6, n_elements=35, n_outputs=4)
         batch = exhaustive_inputs(6)
-        expect = simulate_interpreted(net, batch)
-        plan = get_plan(net)
-        assert np.array_equal(plan.execute_unpacked(batch), expect)
-        assert np.array_equal(plan.execute_packed(batch), expect)
+        assert np.array_equal(get_plan(net).execute(batch),
+                              simulate_interpreted(net, batch))
 
     @settings(max_examples=60, deadline=None)
     @given(bits=st.lists(st.integers(0, 1), min_size=16, max_size=16))

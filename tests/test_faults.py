@@ -266,16 +266,6 @@ class TestEngineTaps:
         assert np.array_equal(tapped, simulate_interpreted(probe, X))
         assert np.array_equal(out, np.sort(X, axis=1))
 
-    def test_packed_and_unpacked_taps_agree(self):
-        net = build_mux_merger_sorter(8)
-        taps = sorted(control_wires(net))[:4]
-        X = exhaustive_inputs(8)
-        plan = get_plan(net)
-        out_p, tap_p = plan.execute_packed(X, taps=taps)
-        out_u, tap_u = plan.execute_unpacked(X, taps=taps)
-        assert np.array_equal(tap_p, tap_u)
-        assert np.array_equal(out_p, out_u)
-
 
 class TestTransients:
     def test_transient_corrupts_only_inflight_group(self):

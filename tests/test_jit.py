@@ -6,16 +6,19 @@ The load-bearing guarantees, in the order the issue states them:
   netlists (every element kind, control-tagged steering wires),
   exhaustively for small sorters, and on *faulted* netlists (mutants are
   netlist rewrites, so they must flow through codegen unchanged);
-* **optimization passes are semantics-preserving** — a hypothesis
-  property over randomly built netlists;
+* **folding, sharing and dead-code elimination are
+  semantics-preserving** — a hypothesis property over randomly built
+  netlists;
 * **the persistent disk cache never loads a torn entry** — atomic
   writes + checksum verification, proven against deliberate corruption
   and against a SIGKILLed writer;
-* **routing policy** — ``REPRO_JIT`` override, size thresholds, and the
-  warm-up counter that keeps one-shot fault-campaign mutants from
-  triggering compile storms.
+* **routing policy** — one size cap (:func:`repro.circuits.jit.fits`)
+  shared by ``simulate`` and the checked ladder, and the warm-up counter
+  that keeps one-shot fault-campaign mutants from triggering compile
+  storms.
 """
 
+import gc
 import os
 import signal
 import subprocess
@@ -53,15 +56,41 @@ from repro.core.api import make_sorter
 from repro.errors import SimulationError
 
 
+def _packed_inputs(batch):
+    """One little-endian int per input column, one batch lane per bit."""
+    return tuple(int.from_bytes(
+        np.packbits(np.ascontiguousarray(batch[:, k]),
+                    bitorder="little").tobytes(), "little")
+        for k in range(batch.shape[1]))
+
+
+def _run_source(src, batch):
+    """Exec generated kernel source and run it on ``batch``."""
+    ns = {}
+    exec(compile(src, "<test>", "exec"), ns)
+    fn = next(v for v in ns.values() if callable(v))
+    return fn(_packed_inputs(batch), (1 << batch.shape[0]) - 1)
+
+
+def _unpack_words(words, lanes):
+    out = np.zeros((lanes, len(words)), dtype=np.uint8)
+    for j, word in enumerate(words):
+        for lane in range(lanes):
+            out[lane, j] = (word >> lane) & 1
+    return out
+
+
 def _check_all_backends(net, batch):
-    """jit ≡ engine ≡ interpreter on one batch."""
+    """jit ≡ engine ≡ interpreter on one batch, plus the direct
+    (unfolded, unshared, unfused) lowering as a second kernel."""
     ref = simulate_interpreted(net, batch)
     eng = simulate_engine(net, batch)
     out = jit.compile_jit(net).execute(batch)
-    raw = jit.compile_jit(net, optimize=False).execute(batch)
+    raw = jit.codegen(jit.lower(net, fold=False, share=False), fuse=False)
     assert np.array_equal(ref, eng)
     assert np.array_equal(ref, out)
-    assert np.array_equal(ref, raw)
+    assert np.array_equal(ref, _unpack_words(_run_source(raw, batch),
+                                             batch.shape[0]))
     return ref
 
 
@@ -132,44 +161,32 @@ class TestOptimizePasses:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_passes_preserve_semantics(self, seed):
-        """Property: no pass — individually or combined — ever changes
+        """Property: no lowering configuration — folding, sharing, both
+        or neither, with or without dead-code elimination — ever changes
         simulation results, including on control-tagged steering paths
         (random_netlist tags every switch/mux select wire)."""
         rng = np.random.default_rng(seed)
         net = random_netlist(rng, n_inputs=5, n_elements=30, n_outputs=4)
         batch = exhaustive_inputs(5)
         ref = simulate_interpreted(net, batch)
-        naive = jit.lower(net, fold=False, share=False)
-        programs = [
-            naive,
-            jit.propagate_constants(naive),
-            jit.share_subexpressions(naive),
-            jit.eliminate_dead(naive),
-            jit.optimize_program(naive)[0],
-        ]
         lanes = batch.shape[0]
-        packed_ref = None
-        for prog in programs:
-            ins = [int.from_bytes(
-                np.packbits(np.ascontiguousarray(batch[:, k]),
-                            bitorder="little").tobytes(), "little")
-                for k in range(5)]
-            outs = jit.run_program(prog, ins, lanes)
-            if packed_ref is None:
-                packed_ref = outs
-                unpacked = np.zeros((lanes, len(outs)), dtype=np.uint8)
-                for j, word in enumerate(outs):
-                    for lane in range(lanes):
-                        unpacked[lane, j] = (word >> lane) & 1
-                assert np.array_equal(unpacked, ref)
-            else:
-                assert outs == packed_ref
+        ins = _packed_inputs(batch)
+        for fold in (False, True):
+            for share in (False, True):
+                lowered = jit.lower(net, fold=fold, share=share)
+                for prog in (lowered, jit.eliminate_dead(lowered)):
+                    outs = jit.run_program(prog, ins, lanes)
+                    assert np.array_equal(_unpack_words(outs, lanes), ref)
 
     def test_optimizer_only_removes_ops(self):
         net = make_sorter(16, "prefix")
         naive = jit.lower(net, fold=False, share=False)
-        opt, stats = jit.optimize_program(naive)
-        assert opt.n_ops <= naive.n_ops
+        lowered = jit.lower(net)
+        opt = jit.eliminate_dead(lowered)
+        assert opt.n_ops <= lowered.n_ops <= naive.n_ops
+        stats = jit.compile_jit(net).stats
+        assert stats["ops_before"] == lowered.n_ops
+        assert stats["ops_after"] == opt.n_ops
         assert stats["removed"] == stats["ops_before"] - stats["ops_after"]
 
     def test_constant_folding_through_steering(self):
@@ -182,7 +199,7 @@ class TestOptimizePasses:
         sel = b.const(1)
         lo, hi = b.switch2(a, c, sel)
         net = b.build(outputs=[lo, hi])
-        prog, _ = jit.optimize_program(jit.lower(net))
+        prog = jit.eliminate_dead(jit.lower(net))
         assert prog.n_ops == 0  # constant select: outputs are pass-through
         batch = exhaustive_inputs(2)
         assert np.array_equal(simulate_interpreted(net, batch),
@@ -190,22 +207,12 @@ class TestOptimizePasses:
 
     def test_codegen_fusion_matches_unfused(self, rng):
         net = random_netlist(rng, n_inputs=6, n_elements=50, n_outputs=6)
-        prog, _ = jit.optimize_program(jit.lower(net))
+        prog = jit.eliminate_dead(jit.lower(net))
         fused = jit.codegen(prog, fuse=True)
         unfused = jit.codegen(prog, fuse=False)
         assert fused.count("\n") < unfused.count("\n")
         batch = exhaustive_inputs(6)
-        outs = []
-        for src in (fused, unfused):
-            ns = {}
-            exec(compile(src, "<test>", "exec"), ns)
-            fn = next(v for v in ns.values() if callable(v))
-            ins = tuple(int.from_bytes(
-                np.packbits(np.ascontiguousarray(batch[:, k]),
-                            bitorder="little").tobytes(), "little")
-                for k in range(6))
-            outs.append(fn(ins, (1 << batch.shape[0]) - 1))
-        assert outs[0] == outs[1]
+        assert _run_source(fused, batch) == _run_source(unfused, batch)
 
 
 class TestDiskCache:
@@ -355,73 +362,128 @@ class TestDiskCache:
         assert jit.cache_info()["disk"]["entries"] == 1
 
 
-class TestRoutingPolicy:
-    def test_env_force_on(self, monkeypatch, rng):
-        monkeypatch.setenv(jit.ENV_JIT, "1")
-        net = random_netlist(rng, n_inputs=4, n_elements=10, n_outputs=3)
-        assert jit.maybe_jit(net, 1) is not None  # far below MIN_ELEMENTS
+def _fresh(net):
+    """A new Netlist object with ``net``'s content: no warm-up count and
+    no in-memory plan (the caches are keyed by object, not content)."""
+    return Netlist(
+        n_wires=net.n_wires, elements=net.elements, inputs=net.inputs,
+        outputs=net.outputs, constants=dict(net.constants),
+        name=net.name, control_wires=net.control_wires,
+    )
 
-    def test_env_force_off(self, monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT, "0")
-        net = make_sorter(8, "prefix")
-        assert jit.maybe_jit(net, 64) is None
-        with pytest.raises(SimulationError):
-            simulate_jit(net, exhaustive_inputs(8))
+
+#: Sorters under 256 elements — the sizes the old routing floor kept off
+#: the JIT.
+_SMALL_SORTERS = [(net, n) for net in ("prefix", "mux_merger")
+                  for n in (2, 4, 8, 16)
+                  if len(make_sorter(n, net).elements) < 256]
+
+
+@st.composite
+def _small_netlist(draw):
+    """A random netlist or a sorter below 256 elements, fresh each draw."""
+    if draw(st.booleans()):
+        network, n = draw(st.sampled_from(_SMALL_SORTERS))
+        return _fresh(make_sorter(n, network))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_in = draw(st.integers(1, 8))
+    return random_netlist(rng, n_inputs=n_in,
+                          n_elements=draw(st.integers(1, 60)),
+                          n_outputs=draw(st.integers(1, 6)))
+
+
+class TestRoutingPolicy:
+    @given(net=_small_netlist(), lanes=st.sampled_from([1, 2, 63, 64, 65]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_one_rule_warmup_then_compile(self, net, lanes, seed):
+        """Every netlist under the cap, however small, reaches the JIT on
+        its JIT_WARMUP_CALLS-th simulate() call — not before — and every
+        call equals the interpreter."""
+        assert jit.fits(net)
+        batch = np.random.default_rng(seed).integers(
+            0, 2, (lanes, len(net.inputs))).astype(np.uint8)
+        ref = simulate_interpreted(net, batch)
+        gc.collect()  # no earlier example's plan may drop out mid-count
+        before = jit.cache_info()["memory"]
+        for _ in range(jit.JIT_WARMUP_CALLS - 1):
+            assert np.array_equal(simulate(net, batch), ref)
+            assert jit.cache_info()["memory"] == before
+        assert np.array_equal(simulate(net, batch), ref)
+        assert jit.cache_info()["memory"] == before + 1
+        assert np.array_equal(simulate(net, batch), ref)  # warm: the kernel
+
+    @given(net=_small_netlist())
+    @settings(max_examples=15, deadline=None)
+    def test_over_cap_never_compiles(self, net):
+        """Above a (monkeypatched) JIT_MAX_ELEMENTS, simulate() stays on
+        the engine however warm the netlist is."""
+        cap = len(net.elements) - 1
+        original = jit.JIT_MAX_ELEMENTS
+        jit.JIT_MAX_ELEMENTS = cap  # hypothesis forbids function fixtures
+        try:
+            assert not jit.fits(net)
+            batch = exhaustive_inputs(min(len(net.inputs), 6))
+            batch = np.pad(batch, ((0, 0), (0, len(net.inputs) - batch.shape[1])))
+            ref = simulate_interpreted(net, batch)
+            for _ in range(jit.JIT_WARMUP_CALLS + 2):
+                assert np.array_equal(simulate(net, batch), ref)
+            assert net not in jit._JIT_CACHE
+            assert jit.maybe_jit(net) is None
+        finally:
+            jit.JIT_MAX_ELEMENTS = original
 
     def test_auto_size_window(self, monkeypatch, rng):
-        monkeypatch.delenv(jit.ENV_JIT, raising=False)
-        small = random_netlist(rng, n_inputs=4, n_elements=10, n_outputs=3)
-        assert len(small.elements) < jit.JIT_MIN_ELEMENTS
+        """The window is one cap: at JIT_MAX_ELEMENTS a netlist fits, one
+        element over it does not, however warm."""
+        net = random_netlist(rng, n_inputs=4, n_elements=10, n_outputs=3)
+        monkeypatch.setattr(jit, "JIT_MAX_ELEMENTS", len(net.elements))
+        assert jit.fits(net)
+        monkeypatch.setattr(jit, "JIT_MAX_ELEMENTS", len(net.elements) - 1)
+        assert not jit.fits(net)
         for _ in range(jit.JIT_WARMUP_CALLS + 1):
-            assert jit.maybe_jit(small, 64) is None
+            assert jit.maybe_jit(net) is None
 
     def test_auto_warmup_counter(self, monkeypatch):
         """One-shot simulations never compile; the warm-up call does."""
-        monkeypatch.delenv(jit.ENV_JIT, raising=False)
         monkeypatch.setenv(jit.ENV_JIT_CACHE, "off")
-        monkeypatch.setattr(jit, "JIT_MIN_ELEMENTS", 1)
-        jit.clear_memory_cache()
-        net = make_sorter(8, "prefix")
+        net = _fresh(make_sorter(8, "prefix"))
         for _ in range(jit.JIT_WARMUP_CALLS - 1):
-            assert jit.maybe_jit(net, 64) is None
-        assert jit.maybe_jit(net, 64) is not None
+            assert jit.maybe_jit(net) is None
+        assert jit.maybe_jit(net) is not None
         # warm now: immediately available on the next call
-        assert jit.maybe_jit(net, 64) is not None
+        assert jit.maybe_jit(net) is not None
 
-    def test_auto_adopts_existing_disk_entry_before_warmup(
-            self, monkeypatch, tmp_path):
+    def test_warm_call_adopts_existing_disk_entry(self, monkeypatch,
+                                                  tmp_path):
         """A cold process inherits another process's compiled plan on
-        the *first* call — no warm-up wait when the work is already
-        done (this is what makes repro.parallel workers cheap)."""
+        its warm call: no recompile when the work is already done (this
+        is what makes repro.parallel workers cheap).  Cold calls never
+        touch the disk cache."""
         monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        monkeypatch.delenv(jit.ENV_JIT, raising=False)
-        monkeypatch.setattr(jit, "JIT_MIN_ELEMENTS", 1)
-        jit.clear_memory_cache()  # make_sorter memoizes: force a real
-        net = make_sorter(8, "prefix")  # compile so the entry hits disk
-        jit.get_jit_plan(net)  # simulate the "other process"
-        jit.clear_memory_cache()
-        fresh = Netlist(
-            n_wires=net.n_wires, elements=net.elements, inputs=net.inputs,
-            outputs=net.outputs, constants=dict(net.constants),
-            name=net.name, control_wires=net.control_wires,
-        )
-        plan = jit.maybe_jit(fresh, 64)
+        net = make_sorter(8, "prefix")
+        jit.get_jit_plan(_fresh(net))  # simulate the "other process"
+        fresh = _fresh(net)
+        before = dict(jit._DISK_STATS)
+        for _ in range(jit.JIT_WARMUP_CALLS - 1):
+            assert jit.maybe_jit(fresh) is None
+        assert jit._DISK_STATS == before
+        plan = jit.maybe_jit(fresh)
         assert plan is not None and plan.origin == "disk-cache"
 
-    def test_simulate_routes_through_jit_when_forced(self, monkeypatch,
-                                                     rng):
-        monkeypatch.setenv(jit.ENV_JIT, "1")
-        net = make_sorter(8, "mux_merger")
+    def test_simulate_routes_through_jit_once_warm(self):
+        net = _fresh(make_sorter(8, "mux_merger"))
         batch = exhaustive_inputs(8)
-        assert np.array_equal(simulate(net, batch),
-                              simulate_interpreted(net, batch))
-        assert jit.cache_info()["memory"] >= 1
+        for _ in range(jit.JIT_WARMUP_CALLS):
+            assert np.array_equal(simulate(net, batch),
+                                  simulate_interpreted(net, batch))
+        assert net in jit._JIT_CACHE  # the last call ran the kernel
 
-    def test_simulate_engine_never_jits(self, monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT, "1")
+    def test_simulate_engine_never_jits(self):
         jit.clear_memory_cache()
-        net = make_sorter(8, "prefix")
-        simulate_engine(net, exhaustive_inputs(8))
+        net = _fresh(make_sorter(8, "prefix"))
+        for _ in range(jit.JIT_WARMUP_CALLS + 1):
+            simulate_engine(net, exhaustive_inputs(8))
         assert jit.cache_info()["memory"] == 0
 
 
@@ -447,13 +509,6 @@ class TestJitPlanSurface:
         net = make_sorter(4, "prefix")
         plan = jit.compile_jit(net)
         batch = exhaustive_inputs(4)
-        lanes = batch.shape[0]
-        ins = [int.from_bytes(
-            np.packbits(np.ascontiguousarray(batch[:, k]),
-                        bitorder="little").tobytes(), "little")
-            for k in range(4)]
-        outs = plan.execute_bits(ins, lanes)
-        ref = simulate_interpreted(net, batch)
-        for j, word in enumerate(outs):
-            for lane in range(lanes):
-                assert (word >> lane) & 1 == ref[lane, j]
+        outs = plan.execute_bits(_packed_inputs(batch), batch.shape[0])
+        assert np.array_equal(_unpack_words(outs, batch.shape[0]),
+                              simulate_interpreted(net, batch))

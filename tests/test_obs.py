@@ -324,8 +324,8 @@ class TestActivity:
         net = build_prefix_sorter(4)
         obs.enable()
         plan = get_plan(net)
-        batch = exhaustive_inputs(4)  # 16 rows -> unpacked path
-        out = plan.execute_unpacked(batch)
+        batch = exhaustive_inputs(4)  # 16 rows: one partial packed word
+        out = plan.execute(batch)
         assert np.array_equal(out, np.sort(batch, axis=1))
         prof = obs.activity_profiles()[plan.name]
         assert prof.lanes == 16
@@ -337,9 +337,10 @@ class TestActivity:
         # control wires tagged by the builder are all profiled
         assert summary["control_wires"] == len(net.control_wires)
 
-    def test_packed_and_unpacked_counts_agree(self):
-        """The packed path must popcount only real lanes (pad bits are
-        driven high by constants) — same batch, same counts."""
+    def test_payload_and_packed_counts_agree(self):
+        """The packed bit path must popcount only real lanes (pad bits
+        are driven high by constants), and the payload path popcounts
+        uint8 tag lanes — same batch, same counts."""
         from repro.circuits import get_plan
         from repro.core.prefix_sorter import build_prefix_sorter
 
@@ -348,12 +349,13 @@ class TestActivity:
         batch = rng.integers(0, 2, (70, 8)).astype(np.uint8)  # not a word multiple
         obs.enable()
         plan = get_plan(net)
-        plan.execute_unpacked(batch)
-        unpacked = obs.activity_profiles()[plan.name].crossed.copy()
+        plan.execute_payload(batch, np.zeros(batch.shape, dtype=np.int64))
+        payload = obs.activity_profiles()[plan.name].crossed.copy()
         obs.reset_activity()
-        plan.execute_packed(batch)
+        plan.execute(batch)
         packed = obs.activity_profiles()[plan.name].crossed.copy()
-        assert np.array_equal(unpacked, packed)
+        assert payload.any()
+        assert np.array_equal(payload, packed)
 
     def test_flush_activity_emits_trace_events(self, tmp_path):
         from repro.circuits import get_plan
@@ -362,7 +364,7 @@ class TestActivity:
         trace = tmp_path / "t.jsonl"
         obs.enable(trace_path=trace)
         plan = get_plan(build_prefix_sorter(4))
-        plan.execute_unpacked(np.zeros((3, 4), dtype=np.uint8))
+        plan.execute(np.zeros((3, 4), dtype=np.uint8))
         summaries = obs.flush_activity()
         obs.reset()
         events = [r for r in read_trace(trace) if r["name"] == "engine.activity"]
@@ -378,11 +380,11 @@ class TestIntegration:
 
         obs.enable()
         plan = get_plan(build_prefix_sorter(8))
-        plan.execute_unpacked(np.zeros((5, 8), dtype=np.uint8))
+        plan.execute(np.zeros((5, 8), dtype=np.uint8))
         spans = [r for r in obs.ring_events() if r["name"] == "engine.execute"]
         assert spans
         attrs = spans[-1]["attrs"]
-        assert attrs["mode"] == "unpacked" and attrs["batch"] == 5
+        assert attrs["mode"] == "packed" and attrs["batch"] == 5
         assert len(attrs["steps"]) == len(plan.steps)
         for level, kind, dt, n_el in attrs["steps"]:
             assert dt >= 0 and n_el >= 1
@@ -460,7 +462,7 @@ class TestTraceReport:
         obs.enable(trace_path=trace)
         plan = get_plan(build_prefix_sorter(8))
         with obs.trace_span("sweep.item", item="prefix/n=8", ok=True):
-            plan.execute_unpacked(np.zeros((5, 8), dtype=np.uint8))
+            plan.execute(np.zeros((5, 8), dtype=np.uint8))
         obs.trace_event("sweep.quarantine", item="prefix/n=64",
                         error="TimeoutError()")
         obs.flush_activity()
@@ -550,7 +552,7 @@ def test_env_var_opt_in(tmp_path):
         "from repro.core.prefix_sorter import build_prefix_sorter\n"
         "assert obs.enabled()\n"
         "plan = get_plan(build_prefix_sorter(4))\n"
-        "plan.execute_unpacked(np.zeros((2, 4), dtype=np.uint8))\n"
+        "plan.execute(np.zeros((2, 4), dtype=np.uint8))\n"
         "obs.reset()\n"
     )
     import os

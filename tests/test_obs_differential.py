@@ -2,8 +2,9 @@
 
 The observed execution path drives the *same* kernels one fused step at
 a time, so enabling :mod:`repro.obs` must be bit-invisible to every
-simulator — interpreter and compiled engine, unpacked / packed / payload
-paths, on healthy and on faulted netlists.  These tests run each
+simulator — interpreter and compiled engine, bit path (partial and
+multi-word batches) and payload path, on healthy and on faulted
+netlists.  These tests run each
 simulation once with observability off and once fully on (tracing +
 metrics + activity) and require identical arrays.
 """
@@ -43,10 +44,10 @@ def _with_obs(fn):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_engine_unpacked_identical(name, rng):
+def test_engine_partial_word_identical(name, rng):
     net = BUILDERS[name](16)
-    batch = rng.integers(0, 2, (33, 16)).astype(np.uint8)
-    plain, observed = _with_obs(lambda: get_plan(net).execute_unpacked(batch))
+    batch = rng.integers(0, 2, (33, 16)).astype(np.uint8)  # < one word
+    plain, observed = _with_obs(lambda: get_plan(net).execute(batch))
     assert np.array_equal(plain, observed)
     assert np.array_equal(plain, np.sort(batch, axis=1))
 
@@ -55,7 +56,7 @@ def test_engine_unpacked_identical(name, rng):
 def test_engine_packed_identical(name, rng):
     net = BUILDERS[name](16)
     batch = rng.integers(0, 2, (130, 16)).astype(np.uint8)  # >1 word + pad
-    plain, observed = _with_obs(lambda: get_plan(net).execute_packed(batch))
+    plain, observed = _with_obs(lambda: get_plan(net).execute(batch))
     assert np.array_equal(plain, observed)
     assert np.array_equal(plain, np.sort(batch, axis=1))
 
@@ -106,15 +107,15 @@ def test_faulted_netlists_identical(name, rng):
     """The guarantee must hold on broken circuits as well — campaigns
     run instrumented, and a divergence there would corrupt the study."""
     net = BUILDERS[name](8)
-    batch = rng.integers(0, 2, (70, 8)).astype(np.uint8)  # packed path
-    small = batch[:16]  # unpacked + interpreter rows
+    batch = rng.integers(0, 2, (70, 8)).astype(np.uint8)  # > one word
+    small = batch[:16]  # a partial word, also run on the interpreter
     faults = sample_faults(enumerate_faults(net), 6, seed=0xD1FF)
     for fault in faults:
         mutant = apply_faults(net, (fault,))
         plan = get_plan(mutant)
-        p1, p2 = _with_obs(lambda: plan.execute_packed(batch))
+        p1, p2 = _with_obs(lambda: plan.execute(batch))
         assert np.array_equal(p1, p2), fault.id
-        u1, u2 = _with_obs(lambda: plan.execute_unpacked(small))
+        u1, u2 = _with_obs(lambda: plan.execute(small))
         assert np.array_equal(u1, u2), fault.id
         i1, i2 = _with_obs(lambda: simulate_interpreted(mutant, small))
         assert np.array_equal(i1, i2), fault.id
@@ -122,7 +123,7 @@ def test_faulted_netlists_identical(name, rng):
         obs.enable()
         try:
             assert np.array_equal(
-                plan.execute_unpacked(small),
+                plan.execute(small),
                 simulate_interpreted(mutant, small),
             ), fault.id
         finally:

@@ -143,16 +143,6 @@ class TestSupervisedHealthy:
         assert report.tier == "jit"
         assert not report.fell_back and not report.detections
 
-    def test_jit_disabled_resolves_at_engine_tier(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        sup = Supervisor("prefix")
-        bits = rng.integers(0, 2, 8).astype(np.uint8)
-        out, report = sup.sort_verbose(bits)
-        assert out.tolist() == sorted(bits.tolist())
-        assert report.tier == "engine"
-        # degrading past a disabled tier is not a detection event
-        assert not report.detections
-
     def test_stats_accumulate(self, rng):
         sup = get_supervisor("mux_merger")
         for _ in range(3):

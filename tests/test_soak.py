@@ -87,6 +87,11 @@ class TestSmoke:
         # chaos efficacy: both payload injectors actually fired
         assert measured["slo"]["chaos_faults_detected"]["value"] > 0
         assert measured["slo"]["chaos_deadlines_hit"]["value"] > 0
+        # throughput is on the parent's clock: the cells' round times
+        # fit inside the run's wall clock (in-worker chunk times, summed
+        # across parallel workers, need not)
+        cell_wall = sum(c["wall_s"] for c in measured["cells"].values())
+        assert 0 < cell_wall <= measured["wall_s"]
 
         records = json.loads(bench.read_text())
         assert {r["workload"] for r in records} == {"uniform", "adversarial"}

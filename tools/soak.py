@@ -234,8 +234,7 @@ def _soak_chunk(payload) -> dict:
         "fault_seed": fault_seed,
         "deadline": deadline_s is not None,
         "digest": digest.hexdigest(),
-        "_measured": {"wall_s": wall_s, "latency": latency.dump_state(),
-                      **stats},
+        "_measured": {"latency": latency.dump_state(), **stats},
     }
 
 
@@ -488,11 +487,11 @@ def main(argv=None) -> int:
     args.workdir = pathlib.Path(args.workdir)
     args.workdir.mkdir(parents=True, exist_ok=True)
     # Keep JIT artifacts inside the soak's scratch dir (hermetic, and the
-    # jitcache injector needs to know where the warm plans live); force
-    # the JIT on so the cache actually fills when we plan to corrupt it.
+    # jitcache injector needs to know where the warm plans live).  The
+    # checked ladder compiles its jit rung on first use, so the cache
+    # fills without any switch.
     os.environ["REPRO_JIT_CACHE"] = str(args.workdir / "jit-cache")
     if "jitcache" in active:
-        os.environ["REPRO_JIT"] = "1"
         (args.workdir / "jit-cache").mkdir(parents=True, exist_ok=True)
     args.workdir = str(args.workdir)
 
@@ -577,7 +576,6 @@ def main(argv=None) -> int:
                     "deadline_hits", "retries", "fallbacks", "exhausted"):
             stats[key] += m[key]
         stats["requests"] += record["rows"]
-        stats["wall_s"] += m["wall_s"]
         latency.merge_state(m["latency"])
         if obs.enabled():
             obs.counter("repro_soak_requests_total",
@@ -633,6 +631,9 @@ def main(argv=None) -> int:
             with obs.trace_span("soak.round", cell=cell, round=round_counter,
                                 chunks=len(round_items)):
                 storming = kills.start(round_counter) if kills else False
+                # A cell's wall_s is the parent's clock over its rounds, so
+                # throughput counts pool dispatch and worker respawns.
+                round_started = time.perf_counter()
                 try:
                     run_items(
                         round_items, _soak_chunk, jobs=args.jobs,
@@ -648,6 +649,7 @@ def main(argv=None) -> int:
             # cost latency and quarantine events, never answers.
             for cid, payload in requeue:
                 emit(_soak_chunk(payload))
+            cell_stats(cell)["wall_s"] += time.perf_counter() - round_started
             round_counter += 1
             measured["rounds"] = round_counter
             checkpoint()

@@ -198,11 +198,10 @@ def _engine_bench_item(payload) -> dict:
     plan = get_plan(net)  # compile outside the timed region
     if mode == "packed-exhaustive":
         batch = exhaustive_inputs(n)
-        run_engine = lambda: plan.execute_packed(batch)
     else:
         rng = np.random.default_rng((0xE9, index))
         batch = rng.integers(0, 2, (rows, n)).astype(np.uint8)
-        run_engine = lambda: plan.execute(batch)
+    run_engine = lambda: plan.execute(batch)
     if not np.array_equal(run_engine(), simulate_interpreted(net, batch)):
         raise AssertionError(f"engine mismatch on {name} n={n} ({mode})")
     interp_s = _best_of(lambda: simulate_interpreted(net, batch))
