@@ -22,8 +22,7 @@ programmatically::
     import repro.obs as obs
     obs.enable(trace_path="trace.jsonl")   # tracing + metrics + activity
     ... run simulations ...
-    obs.flush_activity()                   # activity summaries -> trace
-    print(obs.registry().to_prometheus())  # or .to_json()
+    obs.export_metrics("metrics.prom")     # activity -> trace, metrics -> file
     obs.disable()
 
 or from the environment, with no code changes::
@@ -101,6 +100,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "export_metrics",
     "flush_activity",
     "histogram",
     "merge_shards",
@@ -272,6 +272,23 @@ def flush_activity() -> Dict[str, Dict[str, Any]]:
         for summary in summaries.values():
             OBS.tracer.event("engine.activity", **summary)
     return summaries
+
+
+def export_metrics(path=None) -> None:
+    """The tools' exit epilogue: :func:`flush_activity`, then write the
+    registry to ``path`` (if given) — Prometheus text when the name ends
+    in ``.prom``, JSON otherwise.  A no-op while disabled."""
+    if not OBS.enabled:
+        return
+    flush_activity()
+    if path is None:
+        return
+    from ..ioutil import atomic_write_text
+
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    atomic_write_text(path, OBS.registry.to_prometheus()
+                      if os.fspath(path).endswith(".prom")
+                      else OBS.registry.to_json())
 
 
 # -- environment opt-in -------------------------------------------------------

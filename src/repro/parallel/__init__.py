@@ -14,15 +14,23 @@ same order.
 See :mod:`repro.parallel.executor` for the design notes; the public
 surface is::
 
-    from repro.parallel import ItemOutcome, run_items, split_outcomes
+    from repro.parallel import ItemOutcome, run_items
 
     outcomes = run_items(
         [(item_id, payload), ...], task, jobs=4,
         worker_init=warm_caches, timeout_s=30.0, retries=1,
     )
-    values, quarantined = split_outcomes(outcomes)
+    values = [o.value for o in outcomes if o.ok]
+    failed = [o for o in outcomes if not o.ok]  # ok=False, error set
+
+Long campaigns wrap it in :class:`Campaign`
+(:mod:`repro.parallel.campaign`), which checkpoints records to one
+JSON document, resumes from it, quarantines failures
+(:func:`report_quarantine`) and writes the result in enumeration
+order.
 """
 
-from .executor import ItemOutcome, run_items, split_outcomes
+from .campaign import Campaign, report_quarantine
+from .executor import ItemOutcome, run_items
 
-__all__ = ["ItemOutcome", "run_items", "split_outcomes"]
+__all__ = ["Campaign", "ItemOutcome", "report_quarantine", "run_items"]

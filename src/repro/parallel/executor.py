@@ -60,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import BuildError
 from ..runtime.guard import run_guarded
 
-__all__ = ["ItemOutcome", "run_items", "split_outcomes"]
+__all__ = ["ItemOutcome", "run_items"]
 
 #: Extra wall-clock slack on top of the worst-case guarded budget before
 #: the parent declares a worker hung and SIGKILLs it.
@@ -99,15 +99,6 @@ class ItemOutcome:
         if not self.guarded:
             record["unguarded"] = True
         return record
-
-
-def split_outcomes(
-    outcomes: Sequence[ItemOutcome],
-) -> Tuple[List[Any], List[Dict[str, Any]]]:
-    """Split outcomes into (ordered successful values, quarantine records)."""
-    values = [o.value for o in outcomes if o.ok]
-    quarantined = [o.quarantine_record() for o in outcomes if not o.ok]
-    return values, quarantined
 
 
 # ---------------------------------------------------------------------------

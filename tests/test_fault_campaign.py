@@ -109,6 +109,8 @@ class TestCampaignEndToEnd:
         assert {r["id"]: r for r in doc["records"]} == {
             r["id"]: r for r in fresh["records"]
         }
+        if killed:  # ... and byte for byte
+            assert out.read_text() == baseline.read_text()
 
     def test_changed_settings_invalidate_checkpoint(self, tmp_path):
         out = tmp_path / "faults.json"

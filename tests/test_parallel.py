@@ -39,7 +39,7 @@ import repro.obs as obs
 from repro.core import sort_bits_many
 from repro.errors import BuildError, DeadlineExceeded, SimulationError
 from repro.obs import FileSink, MetricsRegistry, merge_shards, read_trace, shard_paths
-from repro.parallel import ItemOutcome, run_items, split_outcomes
+from repro.parallel import ItemOutcome, run_items
 from repro.runtime import Supervisor, reset_supervisors, supervisor_stats
 from repro.runtime.guard import (
     _reset_unguarded_warning,
@@ -106,12 +106,12 @@ class TestExecutor:
     def test_error_item_is_quarantined_not_fatal(self):
         items = [("a", 2), ("bad", "boom"), ("c", 3)]
         outcomes = run_items(items, _square_or_die, jobs=2)
-        values, quarantine = split_outcomes(outcomes)
-        assert values == [4, 9]
-        assert len(quarantine) == 1
-        assert quarantine[0]["id"] == "bad"
-        assert "boom payload" in quarantine[0]["error"]
-        assert "unguarded" not in quarantine[0]
+        assert [o.id for o in outcomes] == ["a", "bad", "c"]
+        assert [o.value for o in outcomes if o.ok] == [4, 9]
+        bad = [o for o in outcomes if not o.ok]
+        assert len(bad) == 1 and bad[0].id == "bad" and bad[0].value is None
+        assert "boom payload" in bad[0].error
+        assert bad[0].guarded
 
     def test_sigkilled_worker_loses_only_its_item(self):
         clean = [(f"i{k}", k) for k in range(8)]

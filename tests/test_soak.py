@@ -118,24 +118,29 @@ class TestSmoke:
         assert out_b.read_bytes() == out_a.read_bytes()
 
         # SIGKILL a third run mid-flight, then restart it to completion:
-        # the checkpointed resume must land on the identical bytes
+        # the checkpointed resume must land on the identical bytes.  The
+        # checkpoint is the --out document itself; one chunk per round
+        # (neither meta nor the chaos schedules depend on it) gives the
+        # run ten checkpoints, so the kill lands between two of them.
         cmd_c, out_c = _soak_cmd(tmp_path, "c", requests=600,
-                                 workloads="uniform")
+                                 workloads="uniform",
+                                 extra=["--round-chunks", "1"])
         victim = subprocess.Popen(cmd_c, env=_env(),
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL)
-        checkpoint = tmp_path / "c.work" / "checkpoint.json"
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if checkpoint.exists() and checkpoint.stat().st_size > 0:
+            if out_c.exists() and out_c.stat().st_size > 0:
                 break
             if victim.poll() is not None:  # finished before we could kill
                 break
-            time.sleep(0.05)
+            time.sleep(0.01)
         if victim.poll() is None:
             victim.send_signal(signal.SIGKILL)
             victim.wait()
             assert victim.returncode == -signal.SIGKILL
+            partial = json.loads(out_c.read_text())
+            assert partial["meta"]["complete"] is False
         resumed = subprocess.run(cmd_c, env=_env(), capture_output=True,
                                  text=True)
         assert resumed.returncode == 0, resumed.stdout + resumed.stderr

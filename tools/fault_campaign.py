@@ -58,9 +58,10 @@ Fault models per network:
   glitched clock is corrupted.
 
 The results file is checkpointed with atomic writes (tmp + ``os.replace``)
-every ``--checkpoint-every`` records, so a crashed or SIGKILLed campaign
-resumes where it left off (``--no-resume`` to start over); completed
-record ids are never re-run or duplicated.  Each item runs under a
+every ``--checkpoint-every`` finished items, so a crashed or SIGKILLed
+campaign resumes where it left off (``--no-resume`` to start over);
+checkpointed ids are never re-run or duplicated
+(:class:`repro.parallel.Campaign`).  Each item runs under a
 per-item deadline (``--item-timeout``, via
 :func:`repro.runtime.guard.run_guarded`) with ``--item-retries``
 exponential-backoff retries; an item that keeps failing is *quarantined*
@@ -503,8 +504,7 @@ def main(argv=None) -> int:
 
     import repro.obs as obs
     from repro.analysis.resilience import SILENT, format_resilience_table, summarize
-    from repro.ioutil import atomic_write_json, atomic_write_text, load_checkpoint
-    from repro.parallel import run_items
+    from repro.parallel import Campaign
 
     if args.trace or args.metrics:
         obs.enable(trace_path=args.trace)
@@ -518,95 +518,37 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "max_faults": args.max_faults,
         "supervised": bool(args.supervised),
-        "complete": False,
     }
-    records = []
-    quarantine = []
-    prior = None if args.no_resume else load_checkpoint(args.out, meta, FORMAT_VERSION)
-    if prior is not None:
-        records = prior.get("records", [])
-        quarantine = prior.get("quarantine", [])
-        print(f"resuming from {args.out}: {len(records)} records done"
-              + (f", {len(quarantine)} quarantined" if quarantine else ""))
-    done = {r["id"] for r in records} | {q["id"] for q in quarantine}
 
-    state = {"since_checkpoint": 0}
-
-    def checkpoint():
-        atomic_write_json(
-            args.out, {"meta": meta, "records": records, "quarantine": quarantine}
-        )
-        state["since_checkpoint"] = 0
-
-    def emit(record):
-        records.append(record)
-        done.add(record["id"])
+    def count_record(record):
         if obs.enabled():
             obs.counter("repro_campaign_records_total",
                         "Fault-campaign records by (network, outcome).",
                         network=record["network"],
                         outcome=record["outcome"]).inc()
-        state["since_checkpoint"] += 1
-        if state["since_checkpoint"] >= args.checkpoint_every:
-            checkpoint()
 
-    def on_outcome(outcome):
-        """Checkpointing hook, called in the parent in completion order.
-
-        Success feeds the normal emit/checkpoint path; failure (budget
-        exhausted, worker crashed or hung) quarantines the id — with an
-        ``unguarded`` marker when the deadline could not actually be
-        enforced — and checkpoints immediately, exactly as the serial
-        tool always has."""
-        if outcome.ok:
-            emit(outcome.value)
-            return
-        quarantine.append(outcome.quarantine_record())
-        done.add(outcome.id)
-        obs.trace_event("campaign.quarantine", item=outcome.id,
-                        error=outcome.error)
-        print(f"quarantined {outcome.id}: {outcome.error}")
-        checkpoint()
-
+    camp = Campaign(args.out, meta, "campaign", resume=not args.no_resume,
+                    checkpoint_every=args.checkpoint_every,
+                    on_record=count_record)
+    records, quarantine = camp.records, camp.quarantine
+    resumed = len(records)
     all_items = enumerate_campaign(args, networks)
-    order = {rid: i for i, (rid, _payload) in enumerate(all_items)}
-    todo = [(rid, payload) for rid, payload in all_items if rid not in done]
-    before_by_network = {
-        name: sum(1 for r in records if r["network"] == name) for name in networks
-    }
-    run_items(
-        todo, _campaign_task, jobs=args.jobs,
+    camp.run(
+        camp.pending(all_items), _campaign_task, jobs=args.jobs,
         worker_init=_campaign_worker_init, init_arg=args,
         timeout_s=args.item_timeout or None,
         retries=max(args.item_retries, 0),
         backoff_s=args.item_backoff,
         span="campaign.item",
-        on_outcome=on_outcome,
     )
     for name in networks:
-        total = sum(1 for r in records if r["network"] == name)
-        print(f"{name}: {total - before_by_network[name]} new records ({len(records)} total)")
+        new = sum(1 for r in records[resumed:] if r["network"] == name)
+        print(f"{name}: {new} new records ({len(records)} total)")
 
-    # Canonical order: parallel completion order (and resumed prefixes)
-    # both re-sort to the serial enumeration order, making the final
-    # document independent of --jobs and of interruption history.
-    records.sort(key=lambda r: order.get(r["id"], len(order)))
-    quarantine.sort(key=lambda q: order.get(q["id"], len(order)))
-
+    camp.sort(rid for rid, _payload in all_items)
     summary = summarize(records)
-    meta["complete"] = True
-    atomic_write_json(
-        args.out,
-        {"meta": meta, "records": records, "quarantine": quarantine, "summary": summary},
-    )
-    if obs.enabled():
-        obs.flush_activity()
-        if args.metrics:
-            reg = obs.registry()
-            text = (reg.to_prometheus() if str(args.metrics).endswith(".prom")
-                    else reg.to_json())
-            atomic_write_text(args.metrics, text)
-            print(f"wrote {args.metrics}: {len(reg)} metric series")
+    camp.finish(records=records, quarantine=quarantine, summary=summary)
+    obs.export_metrics(args.metrics)
     print(f"wrote {args.out}: {len(records)} records"
           + (f", {len(quarantine)} quarantined" if quarantine else ""))
     print()

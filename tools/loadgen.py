@@ -341,14 +341,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="write records here (BENCH_serve.json schema)")
     parser.add_argument("--metrics", type=pathlib.Path, default=None,
-                        help="enable repro.obs and dump Prometheus text here")
+                        help="enable repro.obs and export the metrics registry "
+                             "here on exit (.prom => Prometheus text, else JSON)")
     parser.add_argument("--trace", type=pathlib.Path, default=None,
                         help="enable repro.obs tracing to this JSONL file")
     args = parser.parse_args(argv)
 
-    if args.metrics or args.trace:
-        import repro.obs as obs
+    import repro.obs as obs
 
+    if args.metrics or args.trace:
         obs.enable(trace_path=str(args.trace) if args.trace else None)
 
     mix = parse_mix(args.mix)
@@ -371,14 +372,7 @@ def main(argv=None) -> int:
               f"{record['throughput_rps']:.1f} rps = {record['speedup']}x naive, "
               f"{record['silent_wrong']} wrong answers")
 
-    if args.metrics:
-        import repro.obs as obs
-
-        args.metrics.parent.mkdir(parents=True, exist_ok=True)
-        from repro.ioutil import atomic_write_text
-
-        atomic_write_text(args.metrics, obs.registry().to_prometheus())
-        print(f"wrote {args.metrics}")
+    obs.export_metrics(args.metrics)
     if args.out is not None:
         from repro.ioutil import atomic_write_json
 

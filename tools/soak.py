@@ -51,12 +51,13 @@ parent: SIGKILL storms against live pool workers during a round, byte
 flips in warm ``*.rjit`` JIT cache entries and trace-file tail
 truncation between rounds.
 
-**Crash safety and determinism.**  The soak checkpoints atomically
-after every round and resumes after SIGKILL exactly like
-``fault_campaign.py`` (``--no-resume`` to start over).  The output
-document ``--out`` contains only seed-determined content — config,
-schedules, per-chunk output digests, the verdict — so the same seed
-reproduces it byte-for-byte, interrupted or not, at any ``--jobs``.
+**Crash safety and determinism.**  The ``--out`` document is also the
+checkpoint: :class:`repro.parallel.Campaign` rewrites it atomically
+after every round and resumes from it after SIGKILL (``--no-resume`` or
+removing ``--out`` starts over).  The complete document contains only
+seed-determined content — config, schedules, per-chunk output digests,
+the verdict — so the same seed reproduces it byte-for-byte, interrupted
+or not, at any ``--jobs``.
 Wall-clock facts (latency, throughput, quarantine events, the chaos
 log) go to the sibling ``--measured-out`` document, and per-cell
 records to ``--bench-out`` in the ``BENCH_workloads.json`` format
@@ -162,7 +163,8 @@ def _soak_chunk(payload) -> dict:
     from repro.errors import ReproError
     from repro.obs import MetricsRegistry
 
-    (cell, chunk_index, mode, network, rows, fault_seed, deadline_s) = payload
+    (cid, cell, chunk_index, mode, network, rows, fault_seed,
+     deadline_s) = payload
     started = time.perf_counter()
     stats = {
         "alarms": 0, "invariant": 0, "recovered": 0, "silent": 0,
@@ -227,6 +229,7 @@ def _soak_chunk(payload) -> dict:
         digest.update(np.uint32(out.size).tobytes())
         digest.update(np.ascontiguousarray(out, dtype=np.uint8).tobytes())
     return {
+        "id": cid,
         "cell": cell,
         "chunk": chunk_index,
         "mode": mode,
@@ -321,13 +324,14 @@ def _enumerate_cell(args, cell: str, per_cell: int, chaos):
         ))
         mode = ("supervised" if mode_rng.random() < args.supervised_fraction
                 else "batch")
+        cid = f"{cell}/c{chunk_index:05d}"
         payload = (
-            cell, chunk_index, mode, args.network,
+            cid, cell, chunk_index, mode, args.network,
             [req.bits for req in sl],
             faults.fault_seed(chunk_index) if faults else None,
             deadlines.deadline(chunk_index) if deadlines else None,
         )
-        items.append((f"{cell}/c{chunk_index:05d}", payload))
+        items.append((cid, payload))
     return items, inputs_digest
 
 
@@ -496,8 +500,8 @@ def main(argv=None) -> int:
     args.workdir = str(args.workdir)
 
     import repro.obs as obs
-    from repro.ioutil import atomic_write_json, atomic_write_text, load_checkpoint
-    from repro.parallel import run_items
+    from repro.ioutil import atomic_write_json
+    from repro.parallel import Campaign
 
     if args.trace or args.metrics:
         obs.enable(trace_path=args.trace)
@@ -518,41 +522,9 @@ def main(argv=None) -> int:
         "chaos_period": args.chaos_period,
         "chaos_duty": args.chaos_duty,
         "deadline_s": args.deadline_s,
-        "complete": False,
     }
 
-    # -- resume ---------------------------------------------------------------
-    chunks = {cell: {} for cell in workloads}  # cell -> {chunk_index: record}
-    quarantine = []
-    measured = {
-        "latency": [], "cells": {}, "chaos_log": [],
-        "kills_sent": 0, "rounds": 0,
-    }
     latency = obs.MetricsRegistry()  # per-cell soak_latency_seconds
-    prior = None if args.no_resume else load_checkpoint(args.out, meta, FORMAT_VERSION)
-    if prior is not None:
-        if prior["meta"].get("complete"):
-            print(f"{args.out} is already a complete soak document "
-                  f"(--no-resume to re-run)")
-            return 0 if prior.get("verdict") == "PASS" else 1
-        for cell, recs in prior.get("chunks", {}).items():
-            chunks[cell] = {int(k): v for k, v in recs.items()}
-        quarantine = prior.get("quarantine", [])
-        measured = prior.get("measured", measured)
-        latency.merge_state(measured["latency"])
-        done_n = sum(len(v) for v in chunks.values())
-        print(f"resuming from {args.out}: {done_n} chunks done"
-              + (f", {len(quarantine)} quarantine events" if quarantine else ""))
-
-    def checkpoint():
-        measured["latency"] = latency.dump_state()
-        atomic_write_json(args.out, {
-            "meta": meta,
-            "chunks": {c: {str(k): v for k, v in sorted(recs.items())}
-                       for c, recs in chunks.items()},
-            "quarantine": quarantine,
-            "measured": measured,
-        })
 
     def cell_stats(cell):
         return measured["cells"].setdefault(cell, {
@@ -569,7 +541,6 @@ def main(argv=None) -> int:
     def emit(record):
         m = record.pop("_measured")
         cell = record["cell"]
-        chunks[cell][record["chunk"]] = record
         session["requests"] += record["rows"]
         stats = cell_stats(cell)
         for key in ("alarms", "invariant", "recovered", "silent",
@@ -586,6 +557,19 @@ def main(argv=None) -> int:
                             "Accepted-but-wrong soak answers.",
                             cell=cell).inc(m["silent"])
 
+    # -- resume: chunk records, quarantine events and the measured tallies --
+    camp = Campaign(args.out, meta, "soak", resume=not args.no_resume,
+                    on_record=emit, extras={"measured": {
+                        "latency": [], "cells": {}, "chaos_log": [],
+                        "kills_sent": 0, "rounds": 0,
+                    }})
+    if camp.prior is not None and camp.prior["meta"]["complete"]:
+        print(f"{args.out} is already a complete soak document "
+              f"(--no-resume to re-run)")
+        return 0 if camp.prior.get("verdict") == "PASS" else 1
+    measured = camp.extras["measured"]
+    latency.merge_state(measured["latency"])
+
     # -- the matrix -----------------------------------------------------------
     kills = chaos.get("kills")
     if kills is not None:  # carry the landed-kill tally across resumes
@@ -593,10 +577,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     round_counter = int(measured.get("rounds", 0))
     inputs_digests = {}
+    all_ids = []
     for cell in workloads:
         items, inputs_digests[cell] = _enumerate_cell(args, cell, per_cell, chaos)
-        todo = [(cid, payload) for cid, payload in items
-                if payload[1] not in chunks[cell]]
+        all_ids.extend(cid for cid, _payload in items)
+        todo = camp.pending(items)
         print(f"[{cell}] {len(items)} chunks ({len(items) - len(todo)} done, "
               f"{len(todo)} to run)")
         for at in range(0, len(todo), args.round_chunks):
@@ -613,20 +598,6 @@ def main(argv=None) -> int:
                             {"round": round_counter, **summary})
                         obs.trace_event("soak.chaos", round=round_counter,
                                         **summary)
-            requeue = []
-
-            def on_outcome(outcome):
-                if outcome.ok:
-                    emit(outcome.value)
-                    return
-                event = outcome.quarantine_record()
-                quarantine.append(event)
-                cell_stats(cell)["quarantine_events"] += 1
-                obs.trace_event("soak.quarantine", item=outcome.id,
-                                error=outcome.error)
-                print(f"quarantined {outcome.id}: {outcome.error}")
-                by_id = {cid: payload for cid, payload in round_items}
-                requeue.append((outcome.id, by_id[outcome.id]))
 
             with obs.trace_span("soak.round", cell=cell, round=round_counter,
                                 chunks=len(round_items)):
@@ -635,10 +606,9 @@ def main(argv=None) -> int:
                 # throughput counts pool dispatch and worker respawns.
                 round_started = time.perf_counter()
                 try:
-                    run_items(
+                    requeue = camp.run(
                         round_items, _soak_chunk, jobs=args.jobs,
-                        worker_init=_soak_worker_init, init_arg=None,
-                        span="soak.chunk", on_outcome=on_outcome,
+                        worker_init=_soak_worker_init, span="soak.chunk",
                         hang_budget_s=args.watchdog,
                     )
                 finally:
@@ -647,21 +617,24 @@ def main(argv=None) -> int:
                         measured["kills_sent"] = kills.kills_sent
             # Chunks lost to the storm re-run in-process: the storm may
             # cost latency and quarantine events, never answers.
-            for cid, payload in requeue:
-                emit(_soak_chunk(payload))
+            cell_stats(cell)["quarantine_events"] += len(requeue)
+            for _cid, payload in requeue:
+                camp.add(_soak_chunk(payload))
             cell_stats(cell)["wall_s"] += time.perf_counter() - round_started
             round_counter += 1
             measured["rounds"] = round_counter
-            checkpoint()
+            measured["latency"] = latency.dump_state()
+            camp.checkpoint()
 
     wall_s = time.perf_counter() - started
 
     # -- verdict --------------------------------------------------------------
+    quarantine = camp.quarantine
     totals = {key: sum(s[key] for s in measured["cells"].values())
               for key in ("alarms", "invariant", "recovered", "silent",
                           "deadline_hits", "retries", "fallbacks",
                           "exhausted", "requests")}
-    total_chunks = sum(len(v) for v in chunks.values())
+    total_chunks = len(camp.records)
     chaos_totals = {
         "kills_sent": int(measured.get("kills_sent", 0)),
         "jit_files": sum(len(e.get("files", []))
@@ -691,9 +664,12 @@ def main(argv=None) -> int:
                     **{name: g["ok"] for name, g in gates.items()})
 
     # -- the deterministic soak document --------------------------------------
+    camp.sort(all_ids)
     cells_doc = {}
     for cell in workloads:
-        records = [chunks[cell][k] for k in sorted(chunks[cell])]
+        # The id keys the checkpoint; the document's chunks go without it.
+        records = [{k: v for k, v in r.items() if k != "id"}
+                   for r in camp.records if r["cell"] == cell]
         combined = hashlib.sha256()
         for rec in records:
             combined.update(rec["digest"].encode())
@@ -703,17 +679,15 @@ def main(argv=None) -> int:
             "outputs_digest": combined.hexdigest(),
             "chunks": records,
         }
-    meta["complete"] = True
     # Only the gates' pass/fail bits enter the deterministic document;
     # their measured values (p99, kill counts, ...) are wall-clock facts
     # and live in the measured companion.
-    atomic_write_json(args.out, {
-        "meta": meta,
-        "schedules": _schedule_doc(chaos),
-        "cells": cells_doc,
-        "slo": {name: gate["ok"] for name, gate in gates.items()},
-        "verdict": verdict,
-    })
+    camp.finish(
+        schedules=_schedule_doc(chaos),
+        cells=cells_doc,
+        slo={name: gate["ok"] for name, gate in gates.items()},
+        verdict=verdict,
+    )
 
     # -- measured companions --------------------------------------------------
     cell_reports = {}
@@ -752,7 +726,7 @@ def main(argv=None) -> int:
                 "rel_err": obs.REL_ERR,
                 "quarantine_rate": (
                     cell_reports[cell].get("quarantine_events", 0)
-                    / max(len(chunks[cell]), 1)
+                    / max(len(cells_doc[cell]["chunks"]), 1)
                 ),
                 "silent_corruption": cell_reports[cell].get("silent", 0),
                 "slo_pass": verdict == "PASS",
@@ -764,14 +738,7 @@ def main(argv=None) -> int:
         atomic_write_json(args.bench_out, bench)
         print(f"wrote {args.bench_out}: {len(bench)} workload records")
 
-    if obs.enabled():
-        obs.flush_activity()
-        if args.metrics:
-            reg = obs.registry()
-            text = (reg.to_prometheus() if str(args.metrics).endswith(".prom")
-                    else reg.to_json())
-            atomic_write_text(args.metrics, text)
-
+    obs.export_metrics(args.metrics)
     print(f"wrote {args.out} (+ {args.measured_out})")
     print(f"requests: {totals['requests']}  chunks: {total_chunks}  "
           f"quarantined: {len(quarantine)}  wall: {wall_s:.1f}s")

@@ -77,33 +77,6 @@ def _warm_caches(_arg) -> None:
     get_plan(build_prefix_sorter(8))
 
 
-def _quarantine_reporter(kind: str, quarantine: list):
-    """on_outcome hook: collect failures and announce them like the
-    serial tool always has (stdout line + ``<kind>.quarantine`` event)."""
-    import repro.obs as obs
-
-    def on_outcome(outcome) -> None:
-        if outcome.ok:
-            return
-        quarantine.append(outcome.quarantine_record())
-        obs.trace_event(f"{kind}.quarantine", item=outcome.id,
-                        error=outcome.error)
-        print(f"quarantined {outcome.id}: {outcome.error}")
-
-    return on_outcome
-
-
-def _guard_params(guard_args):
-    """(timeout_s, retries, backoff_s) from the tool's CLI namespace."""
-    if guard_args is None:
-        return None, 0, 0.05
-    return (
-        guard_args.item_timeout or None,
-        max(guard_args.item_retries, 0),
-        guard_args.item_backoff,
-    )
-
-
 def _measure_item(payload) -> dict:
     """One sweep record; runs in whichever process holds the item."""
     from repro.analysis import measure_network
@@ -122,32 +95,41 @@ def _measure_item(payload) -> dict:
     }
 
 
-def run_sweep(max_lg: int, min_lg: int = 4, guard_args=None,
-              quarantine=None, jobs: int = 1) -> list:
-    from repro.parallel import run_items
-
-    quarantine = quarantine if quarantine is not None else []
-    items = [
-        (f"{name}/n={1 << p}", (name, 1 << p))
-        for name in NETWORKS
-        for p in range(min_lg, max_lg + 1)
+def bench_items(series) -> list:
+    """Items for an ``--engine-bench`` / ``--jit-bench`` series; each
+    payload carries its series index, which seeds its random batch."""
+    return [
+        (f"{name}/n={n}/{mode}", (i, name, n, rows, mode, floor))
+        for i, (name, n, rows, mode, floor) in enumerate(series)
     ]
-    timeout_s, retries, backoff_s = _guard_params(guard_args)
+
+
+def run_series(items, task, args):
+    """``(records, quarantine)`` of ``task`` over ``items``: records in
+    item order, under the CLI's ``--jobs`` and per-item guard.
+
+    Timing series on a busy multi-worker pool measure contended
+    hardware: ``--jobs`` works for every mode, but a serial run is the
+    honest configuration for the bench floors.
+    """
+    from repro.parallel import report_quarantine, run_items
+
+    quarantine = []
+
+    def on_outcome(outcome) -> None:
+        if not outcome.ok:
+            quarantine.append(report_quarantine("sweep", outcome))
+
     outcomes = run_items(
-        items, _measure_item, jobs=jobs,
+        items, task, jobs=args.jobs,
         worker_init=_warm_caches,
-        timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
+        timeout_s=args.item_timeout or None,
+        retries=max(args.item_retries, 0),
+        backoff_s=args.item_backoff,
         span="sweep.item",
-        on_outcome=_quarantine_reporter("sweep", quarantine),
+        on_outcome=on_outcome,
     )
-    if guard_args is None:
-        # Historical contract: an unguarded sweep raises on first failure.
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"sweep item {outcome.id} failed: {outcome.error}"
-                )
-    return [o.value for o in outcomes if o.ok]
+    return [o.value for o in outcomes if o.ok], quarantine
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -224,37 +206,6 @@ def _engine_bench_item(payload) -> dict:
     return record
 
 
-def run_engine_bench(guard_args=None, quarantine=None, jobs: int = 1) -> list:
-    """Interpreter-vs-engine timing records for the drift gate.
-
-    Note: timing benchmarks on a busy multi-worker pool measure
-    contended hardware; ``--jobs`` is supported for format parity but a
-    serial run is the honest configuration for the drift gate.
-    """
-    from repro.parallel import run_items
-
-    quarantine = quarantine if quarantine is not None else []
-    items = [
-        (f"{name}/n={n}/{mode}", (i, name, n, rows, mode, floor))
-        for i, (name, n, rows, mode, floor) in enumerate(ENGINE_BENCH_SERIES)
-    ]
-    timeout_s, retries, backoff_s = _guard_params(guard_args)
-    outcomes = run_items(
-        items, _engine_bench_item, jobs=jobs,
-        worker_init=_warm_caches,
-        timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-        span="sweep.item",
-        on_outcome=_quarantine_reporter("sweep", quarantine),
-    )
-    if guard_args is None:
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"engine-bench item {outcome.id} failed: {outcome.error}"
-                )
-    return [o.value for o in outcomes if o.ok]
-
-
 #: (builder name, n, batch rows, mode, floor) series for --jit-bench.
 #: mode "jit-batched" times a B-row random batch through the bit-slice
 #: JIT kernel against the level-batched engine's packed path; "jit-single"
@@ -324,61 +275,6 @@ def _jit_bench_item(payload) -> dict:
     return record
 
 
-def run_jit_bench(guard_args=None, quarantine=None, jobs: int = 1) -> list:
-    """Engine-vs-JIT timing records for the drift gate.
-
-    Same caveat as :func:`run_engine_bench`: a serial run is the honest
-    configuration for timing floors.
-    """
-    from repro.parallel import run_items
-
-    quarantine = quarantine if quarantine is not None else []
-    items = [
-        (f"{name}/n={n}/{mode}", (i, name, n, rows, mode, floor))
-        for i, (name, n, rows, mode, floor) in enumerate(JIT_BENCH_SERIES)
-    ]
-    timeout_s, retries, backoff_s = _guard_params(guard_args)
-    outcomes = run_items(
-        items, _jit_bench_item, jobs=jobs,
-        worker_init=_warm_caches,
-        timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-        span="sweep.item",
-        on_outcome=_quarantine_reporter("sweep", quarantine),
-    )
-    if guard_args is None:
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"jit-bench item {outcome.id} failed: {outcome.error}"
-                )
-    return [o.value for o in outcomes if o.ok]
-
-
-def _obs_setup(args) -> None:
-    """Honour --trace/--metrics by switching repro.obs on."""
-    if getattr(args, "trace", None) or getattr(args, "metrics", None):
-        import repro.obs as obs
-
-        obs.enable(trace_path=args.trace)
-
-
-def _obs_finish(args) -> None:
-    """Flush activity summaries to the trace and export metrics."""
-    import repro.obs as obs
-
-    if not obs.enabled():
-        return
-    obs.flush_activity()
-    if getattr(args, "metrics", None):
-        from repro.ioutil import atomic_write_text
-
-        reg = obs.registry()
-        text = (reg.to_prometheus() if str(args.metrics).endswith(".prom")
-                else reg.to_json())
-        atomic_write_text(args.metrics, text)
-        print(f"wrote {args.metrics}: {len(reg)} metric series")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-lg", type=int, default=10)
@@ -409,48 +305,41 @@ def main(argv=None) -> int:
                              "(.prom => Prometheus text, else JSON)")
     parser.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
+    import repro.obs as obs
     from repro.ioutil import atomic_write_text
-
-    _obs_setup(args)
-    quarantine = []
-
-    def write_quarantine(out: pathlib.Path) -> None:
-        qpath = out.with_suffix(out.suffix + ".quarantine.json")
-        if quarantine:
-            atomic_write_text(qpath, json.dumps(quarantine, indent=1))
-            print(f"wrote {qpath}: {len(quarantine)} quarantined items")
-        elif qpath.is_file():
-            qpath.unlink()  # stale quarantine from an earlier run
 
     if args.engine_bench:
         out = args.out or pathlib.Path("BENCH_engine.json")
-        records = run_engine_bench(guard_args=args, quarantine=quarantine,
-                                   jobs=args.jobs)
-        atomic_write_text(out, json.dumps(records, indent=1))
-        write_quarantine(out)
-        _obs_finish(args)
-        print(f"wrote {out}: {len(records)} engine-bench records")
-        return 0
-    if args.jit_bench:
+        items, task = bench_items(ENGINE_BENCH_SERIES), _engine_bench_item
+        what = "engine-bench records"
+    elif args.jit_bench:
         out = args.out or pathlib.Path("BENCH_jit.json")
-        records = run_jit_bench(guard_args=args, quarantine=quarantine,
-                                jobs=args.jobs)
-        atomic_write_text(out, json.dumps(records, indent=1))
-        write_quarantine(out)
-        _obs_finish(args)
-        print(f"wrote {out}: {len(records)} jit-bench records")
-        return 0
-    out = args.out or pathlib.Path("sweep.json")
-    if not 2 <= args.min_lg <= args.max_lg <= 14:
-        print("need 2 <= min-lg <= max-lg <= 14")
-        return 2
-    records = run_sweep(args.max_lg, args.min_lg, guard_args=args,
-                        quarantine=quarantine, jobs=args.jobs)
+        items, task = bench_items(JIT_BENCH_SERIES), _jit_bench_item
+        what = "jit-bench records"
+    else:
+        if not 2 <= args.min_lg <= args.max_lg <= 14:
+            print("need 2 <= min-lg <= max-lg <= 14")
+            return 2
+        out = args.out or pathlib.Path("sweep.json")
+        items = [(f"{name}/n={1 << p}", (name, 1 << p))
+                 for name in NETWORKS
+                 for p in range(args.min_lg, args.max_lg + 1)]
+        task = _measure_item
+        what = (f"records ({len(NETWORKS)} networks x "
+                f"n = 2^{args.min_lg}..2^{args.max_lg})")
+    if args.trace or args.metrics:
+        obs.enable(trace_path=args.trace)
+
+    records, quarantine = run_series(items, task, args)
     atomic_write_text(out, json.dumps(records, indent=1))
-    write_quarantine(out)
-    _obs_finish(args)
-    print(f"wrote {out}: {len(records)} records "
-          f"({len(NETWORKS)} networks x n = 2^{args.min_lg}..2^{args.max_lg})")
+    qpath = out.with_suffix(out.suffix + ".quarantine.json")
+    if quarantine:
+        atomic_write_text(qpath, json.dumps(quarantine, indent=1))
+        print(f"wrote {qpath}: {len(quarantine)} quarantined items")
+    elif qpath.is_file():
+        qpath.unlink()  # stale quarantine from an earlier run
+    obs.export_metrics(args.metrics)
+    print(f"wrote {out}: {len(records)} {what}")
     return 0
 
 
